@@ -16,6 +16,7 @@ from .connectivity import (
 from .errors import (
     BridgeCreated,
     CapExceeded,
+    CertificationError,
     ConstructionFailed,
     HasBridge,
     ImproperColoring,
@@ -68,8 +69,7 @@ from .reductions import (
 from .solver import (
     Certificate,
     Verdict,
-    build_weights_5cyc,
-    build_weights_oddness,
+    build_weights,
     nontrivial_certificate,
     p2_tiebreak,
     solve_5cyc,

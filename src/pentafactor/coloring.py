@@ -12,22 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connectivity import bridges, bridges_skipping
-from .errors import ImproperColoring
+from .errors import ImproperColoring, Sentinel
 from .factors import TwoFactor, two_factor_from_edges
 from .graphs import CubicGraph, MultiGraph, connected_components
 
 COLORS = (0, 1, 2)
 
-
-class _Uncolorable:
-    def __repr__(self) -> str:
-        return "UNCOLORABLE"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNCOLORABLE = _Uncolorable()
+UNCOLORABLE = Sentinel("UNCOLORABLE")
 
 
 @dataclass(frozen=True)
@@ -54,7 +45,7 @@ class EdgeColoring:
         return True
 
 
-def three_edge_color(g: CubicGraph) -> EdgeColoring | _Uncolorable:
+def three_edge_color(g: CubicGraph) -> EdgeColoring | Sentinel:
     """A proper 3-edge-coloring of g, or the verdict UNCOLORABLE.
 
     A cubic graph with a bridge is never 3-edge-colorable (each color class
@@ -65,7 +56,7 @@ def three_edge_color(g: CubicGraph) -> EdgeColoring | _Uncolorable:
     return _color_connected(g)
 
 
-def _color_connected(g: MultiGraph) -> EdgeColoring | _Uncolorable:
+def _color_connected(g: MultiGraph) -> EdgeColoring | Sentinel:
     comps = connected_components(g)
     if len(comps) > 1:
         merged: dict[int, int] = {}
@@ -91,7 +82,7 @@ def _find_two_cut(g: MultiGraph) -> tuple[int, int] | None:
     return None
 
 
-def _color_via_two_cut(g: MultiGraph, cut: tuple[int, int]) -> EdgeColoring | _Uncolorable:
+def _color_via_two_cut(g: MultiGraph, cut: tuple[int, int]) -> EdgeColoring | Sentinel:
     """Split on a 2-edge-cut.
 
     In any proper coloring of a (sub)cubic graph both cut edges carry the same
@@ -129,7 +120,7 @@ def _color_via_two_cut(g: MultiGraph, cut: tuple[int, int]) -> EdgeColoring | _U
     return EdgeColoring(merged)
 
 
-def _backtrack_color(g: MultiGraph) -> EdgeColoring | _Uncolorable:
+def _backtrack_color(g: MultiGraph) -> EdgeColoring | Sentinel:
     ids = list(g.edge_ids)
     color: dict[int, int] = {}
     used: dict[int, set[int]] = {v: set() for v in g.vertices}

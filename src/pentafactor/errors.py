@@ -1,10 +1,25 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the verdict sentinel.
 
-Verdict-style results (Uncolorable, NoShortCircuit, NoColorableCut) are
-sentinel return values, not exceptions; see the modules that produce them.
+Verdict-style results (UNCOLORABLE, NO_SHORT_CIRCUIT, NO_COLORABLE_CUT) are
+falsy ``Sentinel`` return values, not exceptions; see the modules that
+produce them.
 """
 
 from __future__ import annotations
+
+
+class Sentinel:
+    """A named verdict that is falsy, so ``bool(result)`` tells a found
+    object from a verdict."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __repr__(self) -> str:
+        return self._name
+
+    def __bool__(self) -> bool:
+        return False
 
 
 class ParseError(ValueError):
@@ -59,3 +74,8 @@ class InvalidFactor(ValueError):
 
 class BridgeCreated(RuntimeError):
     """Internal invariant failure: a reduction step produced a bridge."""
+
+
+class CertificationError(RuntimeError):
+    """A claim the solver is about to certify does not hold.  Raised by the
+    check step, never stripped by ``python -O``."""

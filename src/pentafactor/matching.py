@@ -116,18 +116,6 @@ def fractional_objective_value(g: MultiGraph, weights: WeightVector) -> Fraction
     return Fraction(sum(weights.get(e, 0) for e in g.edge_ids), 3)
 
 
-def has_perfect_matching(g: MultiGraph) -> bool:
-    if g.n % 2:
-        return False
-    if g.n == 0:
-        return True
-    gx = nx.Graph()
-    gx.add_nodes_from(g.vertices)
-    gx.add_edges_from(set(pair for _, pair in g.edge_items()))
-    mate = nx.max_weight_matching(gx, maxcardinality=True)
-    return 2 * len(mate) == g.n
-
-
 def has_two_factor(g: MultiGraph, removed_vertices: frozenset[int] = frozenset()) -> bool:
     """Does g minus the removed vertices have a spanning 2-regular subgraph?
 

@@ -178,7 +178,7 @@ def classify_occurrences(
     mode: str = "oddness",
     enforce_disjoint: bool = False,
 ) -> Census:
-    """Build the classified occurrence set for one of the two pipelines.
+    """Build the classified occurrence set for one of the two census modes.
 
     oddness: P2 = all P2 occurrences, P1 = P1 occurrences not extendable to a
     P2 occurrence, P3 = P3 occurrences not extendable to a P1 occurrence.
@@ -264,7 +264,7 @@ def select_boundary_edges(
 
     assert occ.kind == "P3"
     assert len(occ.boundary) == 3, "P3 occurrence must have 3 boundary edges"
-    through = [c for c in circuits if _goes_through(c, occ)]
+    through = [c for c in circuits if goes_through(c, occ)]
     others = [o for o in census.occurrences if o.edge_set != occ.edge_set]
     for pair in itertools.combinations(sorted(occ.boundary), 2):
         pset = set(pair)
@@ -275,7 +275,7 @@ def select_boundary_edges(
             if c.length == 7 and matcher(c):
                 bad = True
                 break
-            if c.length == 9 and any(_goes_through(c, o) for o in others):
+            if c.length == 9 and any(goes_through(c, o) for o in others):
                 bad = True
                 break
         if not bad:
@@ -284,7 +284,7 @@ def select_boundary_edges(
     return _classify_p3b(g, occ)
 
 
-def _goes_through(c: Circuit, occ: PatternOccurrence) -> bool:
+def goes_through(c: Circuit, occ: PatternOccurrence) -> bool:
     """A circuit goes through an occurrence if they share at least 2 edges."""
     return len(c.edge_set & occ.edge_set) >= 2
 
@@ -293,8 +293,6 @@ def circuit_intersects(c: Circuit, occ: PatternOccurrence) -> bool:
     """Weaker predicate: sharing at least one vertex."""
     return bool(c.vertex_set & occ.host_vertices)
 
-
-goes_through = _goes_through
 
 
 def _classify_p3b(g: MultiGraph, occ: PatternOccurrence) -> PatternOccurrence:

@@ -17,7 +17,7 @@ from typing import Any
 
 from .coloring import EdgeColoring, UNCOLORABLE, three_edge_color
 from .connectivity import bridges, small_cuts
-from .errors import BridgeCreated, HasBridge, InvalidFactor
+from .errors import BridgeCreated, HasBridge, InvalidFactor, Sentinel
 from .factors import TwoFactor, two_factor_from_edges
 from .graphs import (
     Circuit,
@@ -28,19 +28,8 @@ from .graphs import (
 )
 
 
-class _Sentinel:
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NO_SHORT_CIRCUIT = _Sentinel("NO_SHORT_CIRCUIT")
-NO_COLORABLE_CUT = _Sentinel("NO_COLORABLE_CUT")
+NO_SHORT_CIRCUIT = Sentinel("NO_SHORT_CIRCUIT")
+NO_COLORABLE_CUT = Sentinel("NO_COLORABLE_CUT")
 
 TERMINAL_GENERIC = "Generic"
 TERMINAL_PETERSEN = "Petersen"
@@ -92,7 +81,7 @@ def _derive(g: CubicGraph, drop_vertices: set[int],
 # -- girth reduction -----------------------------------------------------------
 
 
-def reduce_girth_step(g: CubicGraph) -> ReductionStep | _Sentinel:
+def reduce_girth_step(g: CubicGraph) -> ReductionStep | Sentinel:
     """Eliminate one 2-cycle, triangle, or 4-circuit; NO_SHORT_CIRCUIT when no
     reducible short circuit exists (girth >= 5, or the graph is too small for
     the construction, e.g. the theta multigraph)."""
@@ -322,7 +311,7 @@ def _completion_three_cut(g: CubicGraph, side: frozenset[int], cut_ids: tuple[in
     return CubicGraph(edges), inner, outer, y_edge
 
 
-def reduce_cut_step(g: CubicGraph, k: int) -> ReductionStep | _Sentinel:
+def reduce_cut_step(g: CubicGraph, k: int) -> ReductionStep | Sentinel:
     """Detach the smallest colorable side of a 2- or 3-edge-cut.
 
     For k=3 only independent non-trivial minimal cuts qualify (the

@@ -1,10 +1,19 @@
-"""Objective construction, the two bound pipelines, and certificates.
+"""Objective construction, the one bound pipeline, and certificates.
+
+The paper proves its bounds the same way, so one pipeline serves them all:
+route Petersen and colourable inputs directly, reduce the rest, classify
+P1/P2/P3, weight the perfect-matching polytope, solve one exact matching, and
+lift the complementary 2-factor back.  What tells one theorem from another
+(bound, counted statistic, census mode, weights, verifier coefficients,
+tie-break, and whether the bound is read off the reduced or the lifted
+factor) is one row of ``_THEOREMS``; ``_solve``, ``_census`` and the verifier
+read nothing else that differs.
 
 All bound arithmetic is exact (Fraction); floors are applied only at
 certificate boundaries.  Two intersection predicates are deliberately kept
 apart: a circuit *goes through* an occurrence when they share at least two
-edges (oddness pipeline), and *intersects* it when they share a vertex
-(5-circuit pipeline).
+edges (oddness census), and *intersects* it when they share a vertex
+(5-circuit census).
 """
 
 from __future__ import annotations
@@ -13,11 +22,12 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Sequence
 
 from .coloring import UNCOLORABLE, even_two_factor_from_coloring, three_edge_color
 from .connectivity import bridges
-from .errors import HasBridge, NoPerfectMatching
+from .errors import CertificationError, HasBridge, NoPerfectMatching
 from .factors import TwoFactor, complement_two_factor, two_factor_from_edges
 from .formats import parse_graph, serialize_graph
 from .graphs import (
@@ -37,7 +47,6 @@ from .matching import (
 from .patterns import (
     Census,
     P3A,
-    PatternOccurrence,
     circuit_intersects,
     classify_occurrences,
     find_occurrences,
@@ -45,7 +54,6 @@ from .patterns import (
     select_boundary_edges,
 )
 from .reductions import (
-    ReductionTrace,
     TERMINAL_COLORABLE,
     TERMINAL_PETERSEN,
     full_reduce,
@@ -151,56 +159,158 @@ class Certificate:
         )
 
 
-# -- weights -------------------------------------------------------------------
+# -- the theorem table -----------------------------------------------------------
+#
+# Census counts, everywhere below, are the tuple (c5, p1, p2, p3a, p3b, p3):
+# free 5-circuits, P1-class, P2, P3a, P3b and all P3 occurrences.  The
+# fivecyc census leaves p3a and p3b as None.
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """One theorem of the paper: everything that tells its certificate apart."""
+
+    theorem: str
+    bound: Callable[[int, int], Fraction]  # (input n, reduced n) -> bound value
+    metric: str  # the TwoFactor statistic the bound counts
+    mode: str  # census mode, see classify_occurrences
+    # Quarter units: per boundary edge of a free 5-circuit, on the e_S of a
+    # P1/P2 occurrence, and on each edge of a P3a pair E_S.
+    weights: dict[str, int]
+    # Verifier: reduced n >= sum(coefficient * census count).
+    vertex_coeffs: tuple
+    # Solver: the named reduced-factor statistic is at most matching weight / 4
+    # + sum(coefficient * census count).
+    accounting: tuple[str, tuple]
+    tiebreak: bool  # minimise P2 through-pairs among optimal matchings
+    on_reduced: bool  # achieved is read off the reduced factor, not the lifted one
+    triangle_free: bool  # the certified factor has no triangle
+
+
+_FIVE = _Theorem(
+    THEOREM_FIVE,
+    bound=lambda n, reduced_n: Fraction(2 * (n - 2), 15),
+    metric="count5",
+    mode="fivecyc",
+    weights={"c5": 1, "P1": 4, "P2": 0, "P3a": 0},
+    vertex_coeffs=(Fraction(5, 3), 10, 0, 0, 0, 9),
+    accounting=("count5", (Fraction(-1, 4), 1, 0, 0, 0, 1)),
+    tiebreak=False,
+    on_reduced=False,
+    triangle_free=True,
+)
+
+_THEOREMS = {
+    THEOREM_FIVE: _FIVE,
+    THEOREM_ODD: _Theorem(
+        THEOREM_ODD,
+        bound=lambda n, reduced_n: Fraction(6 * reduced_n, 35),
+        metric="odd_count",
+        mode="oddness",
+        weights={"c5": 1, "P1": 8, "P2": 4, "P3a": 4},
+        vertex_coeffs=(Fraction(5, 3), 10, 10, 9, 10, 0),
+        accounting=("invariant_I", (Fraction(-1, 4), 0, 0, 0, 1, 0)),
+        tiebreak=True,
+        on_reduced=True,
+        triangle_free=False,
+    ),
+    THEOREM_NONTRIVIAL: replace(
+        _FIVE, theorem=THEOREM_NONTRIVIAL, bound=lambda n, reduced_n: Fraction(n, 10)
+    ),
+}
+
+_WEIGHTS = {row.mode: row.weights for row in _THEOREMS.values()}
+
+
+def _dot(coeffs: tuple, counts: tuple) -> Fraction:
+    return sum((c * (x or 0) for c, x in zip(coeffs, counts)), Fraction(0))
+
+
+def _fractional_bound(weights: dict[str, int], counts: tuple) -> Fraction:
+    """The weight sum over 3 in closed form: a free 5-circuit of a girth-5
+    graph has 5 boundary edges and a P3a pair has 2 edges."""
+    c5, p1, p2, p3a = counts[:4]
+    return Fraction(
+        5 * weights["c5"] * c5 + weights["P1"] * p1 + weights["P2"] * p2
+        + 2 * weights["P3a"] * (p3a or 0),
+        3,
+    )
+
+
+# -- census and weights ----------------------------------------------------------
+
+
+def _free_fives(circuits: Sequence, census: Census) -> list:
+    meets = circuit_intersects if census.mode == "fivecyc" else goes_through
+    return [
+        c for c in circuits
+        if c.length == 5 and not any(meets(c, s) for s in census.occurrences)
+    ]
 
 
 def free_five_circuits(g: MultiGraph, census: Census) -> list:
     """The set C5 for the census mode: 5-circuits not intersecting (fivecyc)
     or not going through (oddness) any classified occurrence."""
-    fives = [c for c in enumerate_circuits_up_to(g, 5) if c.length == 5]
+    return _free_fives(enumerate_circuits_up_to(g, 5), census)
+
+
+def _census(reduced: MultiGraph, row: _Theorem) -> tuple[Census, list]:
+    """The classified census of a reduced graph and its free 5-circuits.
+
+    The oddness census also classifies P2 and selects P3 boundary pairs,
+    which needs every circuit up to length 9; the fivecyc census needs only
+    the 5-circuits and the P1 e_S.
+    """
+    oddness = row.mode == "oddness"
+    census = classify_occurrences(
+        reduced,
+        find_occurrences(reduced, "P1"),
+        find_occurrences(reduced, "P2") if oddness else (),
+        find_occurrences(reduced, "P3"),
+        mode=row.mode,
+        enforce_disjoint=True,
+    )
+    if not oddness:
+        p1 = tuple(replace(o, e_S=min(o.boundary)) for o in census.p1)
+        census = replace(census, p1=p1)
+        return census, free_five_circuits(reduced, census)
+    circuits9 = enumerate_circuits_up_to(reduced, 9)
+    matcher = lambda c: has_two_factor(reduced, c.vertex_set)
+    p1, p2, p3 = (
+        tuple(select_boundary_edges(reduced, o, circuits9, matcher, census) for o in occs)
+        for occs in (census.p1, census.p2, census.p3)
+    )
+    census = Census(census.mode, p1, p2, p3, census.exception_22)
+    return census, _free_fives(circuits9, census)
+
+
+def _census_counts(census: Census, c5_count: int) -> tuple:
     if census.mode == "fivecyc":
-        return [
-            c for c in fives
-            if not any(circuit_intersects(c, s) for s in census.occurrences)
-        ]
-    return [
-        c for c in fives
-        if not any(goes_through(c, s) for s in census.occurrences)
-    ]
+        return (c5_count, len(census.p1), 0, None, None, len(census.p3))
+    p3a, p3b = census.p3_split()
+    return (c5_count, len(census.p1), len(census.p2), len(p3a), len(p3b), len(census.p3))
 
 
-def build_weights_5cyc(
-    g: MultiGraph, p1_all: Sequence[PatternOccurrence], c5: Sequence
-) -> dict[int, int]:
-    """Quarter-unit weights: one per free-5-circuit boundary, four on each e_S."""
+def build_weights(g: MultiGraph, census: Census, c5: Sequence) -> dict[int, int]:
+    """Quarter-unit weights from the table row of ``census.mode``: C5
+    boundaries, the e_S of each P1 and P2 occurrence, each edge of a P3a pair."""
+    table = _WEIGHTS[census.mode]
     w: dict[int, int] = {}
+
+    def add(e: int, amount: int) -> None:
+        w[e] = w.get(e, 0) + amount
+
     for c in c5:
         for e in g.boundary_edge_ids(c.vertex_set):
-            w[e] = w.get(e, 0) + 1
-    for s in p1_all:
-        assert s.e_S is not None
-        w[s.e_S] = w.get(s.e_S, 0) + 4
-    return w
-
-
-def build_weights_oddness(g: MultiGraph, census: Census, c5: Sequence) -> dict[int, int]:
-    """Quarter-unit weights: C5 boundaries plus 8 per P1 e_S, 4 per P2 e_S,
-    4 per edge of each P3a pair."""
-    w: dict[int, int] = {}
-    for c in c5:
-        for e in g.boundary_edge_ids(c.vertex_set):
-            w[e] = w.get(e, 0) + 1
+            add(e, table["c5"])
     for s in census.p1:
-        assert s.e_S is not None
-        w[s.e_S] = w.get(s.e_S, 0) + 8
+        add(s.e_S, table["P1"])
     for s in census.p2:
-        assert s.e_S is not None
-        w[s.e_S] = w.get(s.e_S, 0) + 4
+        add(s.e_S, table["P2"])
     for s in census.p3:
         if s.class_tag == P3A:
-            assert s.E_S
             for e in s.E_S:
-                w[e] = w.get(e, 0) + 4
+                add(e, table["P3a"])
     return w
 
 
@@ -352,7 +462,8 @@ def _alternating_cycles(g, matching: set[int], region: set[int], max_len: int):
         yield from walk(g.other_end(first, start), False, [first])
 
 
-# -- pipelines -----------------------------------------------------------------
+
+# -- the pipeline ----------------------------------------------------------------
 
 
 def _reduced_bundle(
@@ -375,119 +486,115 @@ def _validated_input(g: CubicGraph) -> None:
         raise HasBridge("solver requires a 2-edge-connected input")
 
 
-def _fill_boundary(g, census: Census, circuits9, matcher) -> Census:
-    p1 = tuple(select_boundary_edges(g, o, circuits9, matcher, census) for o in census.p1)
-    p2 = tuple(select_boundary_edges(g, o, circuits9, matcher, census) for o in census.p2)
-    p3 = tuple(select_boundary_edges(g, o, circuits9, matcher, census) for o in census.p3)
-    return Census(census.mode, p1, p2, p3, census.exception_22)
+def _solve(
+    g: CubicGraph, row: _Theorem, tiebreak_cap: int = P2_TIEBREAK_CAP
+) -> tuple[TwoFactor, Certificate]:
+    """Certify ``row``'s bound on g: the routing, then the check step.
+
+    ``rfactor`` is the factor on the graph the census is taken on (g itself
+    when no reduction ran); ``factor`` is its lift to g.
+    """
+    _validated_input(g)
+    metric = attrgetter(row.metric)
+    flags: set[str] = set()
+    fields: dict[str, Any] = {}
+    reduced = g
+    if is_petersen(g):
+        factor = rfactor = complement_two_factor(g, enumerate_perfect_matchings(g)[0])
+        flags.add(FLAG_EXCEPTIONAL)
+    elif (coloring := three_edge_color(g)) is not UNCOLORABLE:
+        factor = rfactor = even_two_factor_from_coloring(g, coloring)
+        flags.add(FLAG_COLORABLE)
+        if row.on_reduced:
+            fields["invariant_I"] = factor.invariant_I
+    else:
+        trace = full_reduce(g)
+        reduced = trace.reduced
+        fields.update(reduced_n=reduced.n, trace_summary=tuple(trace.summary()))
+        if trace.terminal_flag == TERMINAL_PETERSEN:
+            # Any lone Petersen factor has two 5-circuits, which can exceed the
+            # bound for small hosts; lift all six and keep the best.
+            lifts = [
+                (lift_two_factor(trace, f), f)
+                for f in (complement_two_factor(reduced, m)
+                          for m in enumerate_perfect_matchings(reduced))
+            ]
+            factor, rfactor = min(
+                lifts, key=lambda pair: (metric(pair[0]), tuple(sorted(pair[0].edge_ids)))
+            )
+            flags.add(FLAG_REDUCED_PETERSEN)
+            if row.on_reduced:  # the bound is certified on Petersen itself
+                flags.add(FLAG_EXCEPTIONAL)
+                fields["achieved_reduced"] = metric(rfactor)
+        elif trace.terminal_flag == TERMINAL_COLORABLE:
+            rfactor = even_two_factor_from_coloring(reduced, three_edge_color(reduced))
+            factor = lift_two_factor(trace, rfactor)
+            flags.add(FLAG_COLORABLE)
+        else:
+            census, c5 = _census(reduced, row)
+            weights = build_weights(reduced, census, c5)
+            best_effort = False
+            if row.tiebreak:
+                matching, wt, best_effort = p2_tiebreak(reduced, weights, census, tiebreak_cap)
+            else:
+                matching, wt = min_weight_perfect_matching(reduced, weights)
+            rfactor = complement_two_factor(reduced, matching)
+            factor = lift_two_factor(trace, rfactor)
+            bundle, fidx = _reduced_bundle(reduced, rfactor)
+            if best_effort:
+                flags.add(FLAG_BEST_EFFORT)
+            if census.exception_22:
+                flags.add(FLAG_EXCEPTION_22)
+            fields.update(
+                census=_census_counts(census, len(c5)),
+                matching_weight=wt,
+                fractional_bound=fractional_objective_value(reduced, weights),
+                reduced_graph=bundle,
+                reduced_factor=fidx,
+                achieved_reduced=metric(rfactor),
+            )
+            if row.on_reduced:
+                fields["invariant_I"] = rfactor.invariant_I
+    cert = Certificate(
+        row.theorem, graph_id(g), g.n, row.bound(g.n, reduced.n),
+        metric(rfactor if row.on_reduced else factor),
+        flags=frozenset(flags), **fields,
+    )
+    _check_claims(row, factor, rfactor, cert)
+    return factor, cert
 
 
-def _census_counts(census: Census, c5_count: int) -> tuple:
-    if census.mode == "fivecyc":
-        return (c5_count, len(census.p1), 0, None, None, len(census.p3))
-    p3a, p3b = census.p3_split()
-    return (c5_count, len(census.p1), len(census.p2), len(p3a), len(p3b), len(census.p3))
+def _check_claims(
+    row: _Theorem, factor: TwoFactor, rfactor: TwoFactor, cert: Certificate
+) -> None:
+    """The check step: every claim of ``cert`` that the proof backs."""
+    broken = []
+    if row.triangle_free and factor.count3:
+        broken.append("factor contains a triangle")
+    if rfactor.odd_count % 2:
+        broken.append("oddness must be even")
+    if FLAG_EXCEPTIONAL not in cert.flags and cert.achieved > cert.bound_floor:
+        broken.append(f"{row.metric} bound violated")
+    if cert.census is not None:
+        if cert.matching_weight > cert.fractional_bound:
+            broken.append("polytope inequality violated")
+        statistic, coeffs = row.accounting
+        slack = _dot(coeffs, cert.census)
+        if getattr(rfactor, statistic) > Fraction(cert.matching_weight, 4) + slack:
+            broken.append(f"{statistic} accounting violated on the reduced graph")
+    if broken:
+        raise CertificationError(f"{cert.theorem}: {'; '.join(broken)}")
 
 
 def solve_5cyc(g: CubicGraph) -> tuple[TwoFactor, Certificate]:
     """A triangle-free 2-factor with at most 2(n-2)/15 five-circuits.
 
-    Pipeline: colorable inputs get an even 2-factor; snarks are reduced, the
-    reduced graph is solved via the linear objective over the matching
-    polytope, and the factor is lifted back.  The Petersen graph itself is
-    exceptional (achieved 2).
+    Colorable inputs get an even 2-factor; snarks are reduced, the reduced
+    graph is solved via the linear objective over the matching polytope, and
+    the factor is lifted back.  The Petersen graph itself is exceptional
+    (achieved 2).
     """
-    _validated_input(g)
-    gid = graph_id(g)
-    bound = Fraction(2 * (g.n - 2), 15)
-    if is_petersen(g):
-        m = enumerate_perfect_matchings(g)[0]
-        factor = complement_two_factor(g, m)
-        cert = Certificate(
-            THEOREM_FIVE, gid, g.n, bound, factor.count5, flags=frozenset({FLAG_EXCEPTIONAL})
-        )
-        return factor, cert
-    coloring = three_edge_color(g)
-    if coloring is not UNCOLORABLE:
-        factor = even_two_factor_from_coloring(g, coloring)
-        cert = Certificate(
-            THEOREM_FIVE, gid, g.n, bound, 0, flags=frozenset({FLAG_COLORABLE})
-        )
-        return factor, cert
-    trace = full_reduce(g)
-    factor, cert = _solve_5cyc_reduced(g, gid, bound, trace)
-    assert factor.count3 == 0
-    if FLAG_EXCEPTIONAL not in cert.flags:
-        assert cert.achieved <= cert.bound_floor, "five-circuit bound violated"
-    return factor, cert
-
-
-def _best_lift(trace: ReductionTrace, candidates: list[TwoFactor], key) -> TwoFactor:
-    lifted = [lift_two_factor(trace, f) for f in candidates]
-    return min(lifted, key=key)
-
-
-def _solve_5cyc_reduced(
-    g: CubicGraph, gid: str, bound: Fraction, trace: ReductionTrace
-) -> tuple[TwoFactor, Certificate]:
-    reduced = trace.reduced
-    summary = tuple(trace.summary())
-    if trace.terminal_flag == TERMINAL_PETERSEN:
-        # Any lone Petersen factor has two 5-circuits, which can exceed the
-        # bound for small hosts; lift all six and keep the best.
-        cands = [complement_two_factor(reduced, m) for m in enumerate_perfect_matchings(reduced)]
-        factor = _best_lift(trace, cands, key=lambda f: (f.count5, tuple(sorted(f.edge_ids))))
-        cert = Certificate(
-            THEOREM_FIVE, gid, g.n, bound, factor.count5,
-            flags=frozenset({FLAG_REDUCED_PETERSEN}),
-            reduced_n=reduced.n, trace_summary=summary,
-        )
-        return factor, cert
-    if trace.terminal_flag == TERMINAL_COLORABLE:
-        coloring = three_edge_color(reduced)
-        assert coloring is not UNCOLORABLE
-        factor = lift_two_factor(trace, even_two_factor_from_coloring(reduced, coloring))
-        cert = Certificate(
-            THEOREM_FIVE, gid, g.n, bound, factor.count5,
-            flags=frozenset({FLAG_COLORABLE}),
-            reduced_n=reduced.n, trace_summary=summary,
-        )
-        return factor, cert
-
-    p1 = find_occurrences(reduced, "P1")
-    p3 = find_occurrences(reduced, "P3")
-    census = classify_occurrences(reduced, p1, (), p3, mode="fivecyc", enforce_disjoint=True)
-    census = Census(
-        census.mode,
-        tuple(replace(o, e_S=min(o.boundary)) for o in census.p1),
-        (),
-        census.p3,
-        census.exception_22,
-    )
-    c5 = free_five_circuits(reduced, census)
-    weights = build_weights_5cyc(reduced, census.p1, c5)
-    matching, wt = min_weight_perfect_matching(reduced, weights)
-    frac = fractional_objective_value(reduced, weights)
-    assert wt <= frac, "polytope inequality violated"
-    factor_reduced = complement_two_factor(reduced, matching)
-    # Per-instance accounting from the proof, in whole units.
-    assert (
-        Fraction(factor_reduced.count5)
-        <= Fraction(wt, 4) - Fraction(len(c5), 4) + len(census.p1) + len(census.p3)
-    ), "five-circuit accounting violated on the reduced graph"
-    factor = lift_two_factor(trace, factor_reduced)
-    bundle, fidx = _reduced_bundle(reduced, factor_reduced)
-    flags = {FLAG_EXCEPTION_22} if census.exception_22 else set()
-    cert = Certificate(
-        THEOREM_FIVE, gid, g.n, bound, factor.count5,
-        census=_census_counts(census, len(c5)),
-        matching_weight=wt, fractional_bound=frac,
-        flags=frozenset(flags),
-        reduced_graph=bundle, reduced_factor=fidx, reduced_n=reduced.n,
-        achieved_reduced=factor_reduced.count5,
-        trace_summary=summary,
-    )
-    return factor, cert
+    return _solve(g, _THEOREMS[THEOREM_FIVE])
 
 
 def solve_oddness(
@@ -496,88 +603,23 @@ def solve_oddness(
     """A 2-factor with few odd circuits; the bound 6n/35 is certified on the
     reduced graph and the lifted factor is returned with its own statistics.
     """
-    _validated_input(g)
-    gid = graph_id(g)
-    if is_petersen(g):
-        m = enumerate_perfect_matchings(g)[0]
-        factor = complement_two_factor(g, m)
-        cert = Certificate(
-            THEOREM_ODD, gid, g.n, Fraction(6 * g.n, 35), factor.odd_count,
-            flags=frozenset({FLAG_EXCEPTIONAL}),
-        )
-        return factor, cert
-    coloring = three_edge_color(g)
-    if coloring is not UNCOLORABLE:
-        factor = even_two_factor_from_coloring(g, coloring)
-        cert = Certificate(
-            THEOREM_ODD, gid, g.n, Fraction(6 * g.n, 35), 0,
-            flags=frozenset({FLAG_COLORABLE}), invariant_I=factor.invariant_I,
-        )
-        return factor, cert
-    trace = full_reduce(g)
-    reduced = trace.reduced
-    summary = tuple(trace.summary())
-    if trace.terminal_flag == TERMINAL_PETERSEN:
-        cands = [complement_two_factor(reduced, m) for m in enumerate_perfect_matchings(reduced)]
-        factor = _best_lift(trace, cands, key=lambda f: (f.odd_count, tuple(sorted(f.edge_ids))))
-        cert = Certificate(
-            THEOREM_ODD, gid, g.n, Fraction(6 * reduced.n, 35), 2,
-            flags=frozenset({FLAG_EXCEPTIONAL, FLAG_REDUCED_PETERSEN}),
-            reduced_n=reduced.n, achieved_reduced=2, trace_summary=summary,
-        )
-        return factor, cert
-    if trace.terminal_flag == TERMINAL_COLORABLE:
-        coloring = three_edge_color(reduced)
-        factor = lift_two_factor(trace, even_two_factor_from_coloring(reduced, coloring))
-        cert = Certificate(
-            THEOREM_ODD, gid, g.n, Fraction(6 * reduced.n, 35), 0,
-            flags=frozenset({FLAG_COLORABLE}), reduced_n=reduced.n,
-            trace_summary=summary,
-        )
-        return factor, cert
+    return _solve(g, _THEOREMS[THEOREM_ODD], tiebreak_cap)
 
-    p1 = find_occurrences(reduced, "P1")
-    p2 = find_occurrences(reduced, "P2")
-    p3 = find_occurrences(reduced, "P3")
-    census = classify_occurrences(reduced, p1, p2, p3, mode="oddness", enforce_disjoint=True)
-    circuits9 = enumerate_circuits_up_to(reduced, 9)
-    matcher = lambda c: has_two_factor(reduced, c.vertex_set)
-    census = _fill_boundary(reduced, census, circuits9, matcher)
-    c5 = [
-        c for c in circuits9
-        if c.length == 5 and not any(goes_through(c, s) for s in census.occurrences)
-    ]
-    weights = build_weights_oddness(reduced, census, c5)
-    matching, wt, best_effort = p2_tiebreak(reduced, weights, census, tiebreak_cap)
-    frac = fractional_objective_value(reduced, weights)
-    assert wt <= frac, "polytope inequality violated"
-    factor_reduced = complement_two_factor(reduced, matching)
-    k = factor_reduced.odd_count
-    assert k % 2 == 0, "oddness must be even"
-    p3a, p3b = census.p3_split()
-    assert (
-        factor_reduced.invariant_I
-        <= Fraction(wt, 4) - Fraction(len(c5), 4) + len(p3b)
-    ), "I(M) accounting violated on the reduced graph"
-    bound = Fraction(6 * reduced.n, 35)
-    assert k <= math.floor(bound), "oddness bound violated on the reduced graph"
-    factor = lift_two_factor(trace, factor_reduced)
-    bundle, fidx = _reduced_bundle(reduced, factor_reduced)
-    flags = set()
-    if best_effort:
-        flags.add(FLAG_BEST_EFFORT)
-    if census.exception_22:
-        flags.add(FLAG_EXCEPTION_22)
-    cert = Certificate(
-        THEOREM_ODD, gid, g.n, bound, k,
-        census=_census_counts(census, len(c5)),
-        matching_weight=wt, fractional_bound=frac,
-        flags=frozenset(flags),
-        reduced_graph=bundle, reduced_factor=fidx, reduced_n=reduced.n,
-        achieved_reduced=k, invariant_I=factor_reduced.invariant_I,
-        trace_summary=summary,
-    )
-    return factor, cert
+
+def nontrivial_certificate(g: CubicGraph) -> tuple[TwoFactor, Certificate] | None:
+    """The n/10 certificate for cyclically 4-edge-connected girth-5 inputs,
+    or None when the preconditions do not hold."""
+    from .connectivity import cyclic_edge_connectivity
+    from .errors import NotDefined
+
+    if is_petersen(g) or girth(g) != 5:
+        return None
+    try:
+        if cyclic_edge_connectivity(g) < 4:
+            return None
+    except NotDefined:
+        return None
+    return _solve(g, _THEOREMS[THEOREM_NONTRIVIAL])
 
 
 # -- verification ------------------------------------------------------------------
@@ -604,102 +646,67 @@ def verify_certificate(g: CubicGraph, factor: TwoFactor, cert: Certificate) -> V
     check(rebuilt.invariant_I == Fraction(7 * rebuilt.odd_count, 2) - Fraction(g.n, 2),
           "I(M) identity violated")
     check(cert.n == g.n, "certificate n mismatch")
+    row = _THEOREMS.get(cert.theorem)
+    if row is None:
+        return Verdict(False, (*failures, f"unknown theorem tag {cert.theorem}"))
+    metric = attrgetter(row.metric)
 
-    if cert.theorem in (THEOREM_FIVE, THEOREM_NONTRIVIAL):
+    if row.triangle_free:
         check(rebuilt.count3 == 0, "factor contains a triangle")
-        check(cert.achieved == rebuilt.count5, "achieved != factor 5-count")
-        expected = (
-            Fraction(g.n, 10)
-            if cert.theorem == THEOREM_NONTRIVIAL
-            else Fraction(2 * (g.n - 2), 15)
-        )
-        check(cert.bound_value == expected, "bound value mismatch")
-    elif cert.theorem == THEOREM_ODD:
-        if cert.reduced_n is not None and FLAG_EXCEPTIONAL not in cert.flags:
-            check(cert.bound_value == Fraction(6 * cert.reduced_n, 35),
-                  "bound value mismatch")
-        check(cert.achieved % 2 == 0, "oddness must be even")
-    else:
-        failures.append(f"unknown theorem tag {cert.theorem}")
-
+    reduced_n = g.n if cert.reduced_n is None else cert.reduced_n
+    check(cert.bound_value == row.bound(g.n, reduced_n), "bound value mismatch")
     if FLAG_EXCEPTIONAL not in cert.flags:
         check(cert.achieved <= cert.bound_floor, "achieved exceeds floor(bound)")
+    if row.metric == "odd_count":
+        check(cert.achieved % 2 == 0, "oddness must be even")
     if cert.matching_weight is not None and cert.fractional_bound is not None:
         check(cert.matching_weight <= cert.fractional_bound,
               "matching weight exceeds fractional bound")
 
+    rfactor = None
     if cert.reduced_graph is not None and cert.reduced_factor is not None:
-        failures.extend(_verify_reduced_bundle(cert))
+        rfactor, bundle_failures = _verify_reduced_bundle(cert, row)
+        failures.extend(bundle_failures)
+    if row.on_reduced and rfactor is not None:
+        check(cert.achieved == metric(rfactor), f"achieved != reduced factor {row.metric}")
+    elif row.on_reduced and cert.achieved_reduced is not None:
+        check(cert.achieved == cert.achieved_reduced, "achieved != achieved_reduced")
+    elif not row.on_reduced or cert.reduced_n is None:
+        check(cert.achieved == metric(rebuilt), f"achieved != factor {row.metric}")
     return Verdict(not failures, tuple(failures))
 
 
-def _verify_reduced_bundle(cert: Certificate) -> list[str]:
-    failures: list[str] = []
+def _verify_reduced_bundle(
+    cert: Certificate, row: _Theorem
+) -> tuple[TwoFactor | None, list[str]]:
+    """The bundle's reduced factor (None if it does not parse) and the
+    failures found on it: its statistics, the census, the vertex-count
+    inequality and the fractional bound, all recomputed."""
     try:
         reduced = parse_graph(cert.reduced_graph)
     except Exception as exc:
-        return [f"reduced graph unparseable: {exc}"]
+        return None, [f"reduced graph unparseable: {exc}"]
     try:
         rfactor = two_factor_from_edges(reduced, frozenset(cert.reduced_factor))
     except Exception as exc:
-        return [f"reduced factor invalid: {exc}"]
+        return None, [f"reduced factor invalid: {exc}"]
+    failures: list[str] = []
     if cert.reduced_n is not None and reduced.n != cert.reduced_n:
         failures.append("reduced n mismatch")
-    mode = "fivecyc" if cert.theorem in (THEOREM_FIVE, THEOREM_NONTRIVIAL) else "oddness"
-    if cert.achieved_reduced is not None:
-        got = rfactor.count5 if mode == "fivecyc" else rfactor.odd_count
-        if got != cert.achieved_reduced:
-            failures.append("achieved_reduced mismatch with reduced factor")
+    if (cert.achieved_reduced is not None
+            and getattr(rfactor, row.metric) != cert.achieved_reduced):
+        failures.append("achieved_reduced mismatch with reduced factor")
     if cert.invariant_I is not None and rfactor.invariant_I != cert.invariant_I:
         failures.append("invariant_I mismatch with reduced factor")
     if cert.census is None:
-        return failures
-    p1 = find_occurrences(reduced, "P1")
-    p2 = find_occurrences(reduced, "P2") if mode == "oddness" else ()
-    p3 = find_occurrences(reduced, "P3")
-    census = classify_occurrences(reduced, p1, p2, p3, mode=mode, enforce_disjoint=True)
-    if mode == "oddness":
-        circuits9 = enumerate_circuits_up_to(reduced, 9)
-        matcher = lambda c: has_two_factor(reduced, c.vertex_set)
-        census = _fill_boundary(reduced, census, circuits9, matcher)
-    c5 = free_five_circuits(reduced, census)
+        return rfactor, failures
+    census, c5 = _census(reduced, row)
     counts = _census_counts(census, len(c5))
     if counts != cert.census:
         failures.append(f"census mismatch: recomputed {counts}, certified {cert.census}")
-    c5n, p1n, p2n, p3an, p3bn, p3n = counts
-    if mode == "oddness":
-        lhs = Fraction(reduced.n)
-        rhs = (Fraction(5, 3) * c5n + 10 * p1n + 10 * p2n + 9 * (p3an or 0)
-               + 10 * (p3bn or 0))
-        if lhs < rhs:
-            failures.append("vertex-count inequality violated on reduced graph")
-        expected_frac = Fraction(5 * c5n + 8 * p1n + 4 * p2n + 8 * (p3an or 0), 3)
-    else:
-        lhs = Fraction(reduced.n)
-        rhs = Fraction(5, 3) * c5n + 10 * p1n + 9 * p3n
-        if lhs < rhs:
-            failures.append("vertex-count inequality violated on reduced graph")
-        expected_frac = Fraction(5 * c5n + 4 * p1n, 3)
-    if cert.fractional_bound is not None and cert.fractional_bound != expected_frac:
+    if reduced.n < _dot(row.vertex_coeffs, counts):
+        failures.append("vertex-count inequality violated on reduced graph")
+    if (cert.fractional_bound is not None
+            and cert.fractional_bound != _fractional_bound(row.weights, counts)):
         failures.append("fractional bound does not match census")
-    return failures
-
-
-def nontrivial_certificate(g: CubicGraph) -> tuple[TwoFactor, Certificate] | None:
-    """The n/10 certificate for cyclically 4-edge-connected girth-5 inputs,
-    or None when the preconditions do not hold."""
-    from .connectivity import cyclic_edge_connectivity
-    from .errors import NotDefined
-
-    if is_petersen(g) or girth(g) != 5:
-        return None
-    try:
-        if cyclic_edge_connectivity(g) < 4:
-            return None
-    except NotDefined:
-        return None
-    factor, cert = solve_5cyc(g)
-    bound = Fraction(g.n, 10)
-    cert = replace(cert, theorem=THEOREM_NONTRIVIAL, bound_value=bound)
-    assert cert.achieved <= cert.bound_floor, "n/10 bound violated"
-    return factor, cert
+    return rfactor, failures

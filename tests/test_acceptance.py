@@ -118,7 +118,7 @@ def test_criterion_4_matching_exactness():
 
 
 def test_criterion_5_polytope_inequality():
-    # The solvers assert weight <= fractional inline; re-check here across
+    # The solvers check weight <= fractional before certifying; re-check here across
     # fresh runs that exercise both objectives.
     checked = 0
     for g in [gen_chain_family(1), gen_chain_family(2), gen_p3_ring(4),

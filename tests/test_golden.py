@@ -1,0 +1,64 @@
+"""Golden certificates: the exact output of both solvers on fixed inputs.
+
+Each digest is the benchmark's ``certificate_digest``: the first 16 hex
+digits of the sha256 of ``{"certificate": cert.to_json(), "factor":
+sorted(edge_ids)}`` dumped with sorted keys and compact separators.  The
+inputs reach every reachable routing branch: an input that is Petersen, a
+colourable input, a reduction that ends in Petersen, a generic reduced graph
+(tight for the 5-circuit bound), P3a weights, and the P2 tie-break with the
+22-vertex disjointness exception.  A refactor of the solvers must leave every
+digest unchanged.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import networkx as nx
+import pytest
+
+from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
+from pentafactor.graphs import CubicGraph
+from pentafactor.solver import nontrivial_certificate, solve_5cyc, solve_oddness
+
+from tests.hosts import exceptional_22_host, two_cycle_fixture
+
+GOLDEN = {
+    # input: (solve_5cyc digest, solve_oddness digest)
+    "petersen": ("2dbee9e7a40bc05e", "a93d17406b8c09ab"),
+    "k33": ("db1eaac68f637e31", "e83dd4808ec0417f"),
+    "two_cycle": ("5a5a7137d70b24b1", "3342e3e30ba00941"),
+    "chain:1": ("600e161521b0fb75", "74ef4b30d6441dbb"),
+    "p3ring:4": ("7c3607a27105a5e7", "aeb4fb8768851af3"),
+    "exceptional_22": ("954bee333b02b49f", "09feaa60a8ff8eb6"),
+}
+
+INPUTS = {
+    "petersen": gen_petersen,
+    "k33": lambda: CubicGraph([(a, b) for a in range(3) for b in range(3, 6)]),
+    "two_cycle": two_cycle_fixture,
+    "chain:1": lambda: gen_chain_family(1),
+    "p3ring:4": lambda: gen_p3_ring(4),
+    "exceptional_22": exceptional_22_host,
+}
+
+
+def certificate_digest(factor, cert) -> str:
+    payload = {"certificate": cert.to_json(), "factor": sorted(factor.edge_ids)}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_certificates(name):
+    g = INPUTS[name]()
+    five, odd = GOLDEN[name]
+    assert certificate_digest(*solve_5cyc(g)) == five
+    assert certificate_digest(*solve_oddness(g)) == odd
+
+
+def test_golden_nontrivial_certificate():
+    # The dodecahedron is cyclically 5-edge-connected with girth 5.
+    g = CubicGraph(sorted(nx.dodecahedral_graph().edges()))
+    assert certificate_digest(*nontrivial_certificate(g)) == "2612db35ec5b6e59"

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from pentafactor.errors import HasBridge, UnclassifiableP3b
+from pentafactor import solver
+from pentafactor.errors import CertificationError, HasBridge, UnclassifiableP3b
 from pentafactor.factors import complement_two_factor, two_factor_from_edges
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.graphs import CubicGraph, PETERSEN_EDGES, enumerate_circuits_up_to
@@ -15,8 +18,7 @@ from pentafactor.matching import enumerate_perfect_matchings, has_two_factor
 from pentafactor.patterns import Census, classify_occurrences, find_occurrences
 from pentafactor.solver import (
     Certificate,
-    build_weights_5cyc,
-    build_weights_oddness,
+    build_weights,
     enumerate_optimal_matchings,
     free_five_circuits,
     p2_tiebreak,
@@ -54,7 +56,7 @@ def test_weights_5cyc_isolated_circuit():
     g = gen_p3_ring(4)
     census = Census("fivecyc", (), (), ())
     c5 = free_five_circuits(g, census)
-    w = build_weights_5cyc(g, (), c5)
+    w = build_weights(g, census, c5)
     for c in c5:
         for e in g.boundary_edge_ids(c.vertex_set):
             assert w[e] >= 1
@@ -65,12 +67,10 @@ def test_weights_5cyc_chain():
     p1 = find_occurrences(g, "P1")
     p3 = find_occurrences(g, "P3")
     census = classify_occurrences(g, p1, (), p3, mode="fivecyc", enforce_disjoint=True)
-    from dataclasses import replace
-
     filled = tuple(replace(o, e_S=min(o.boundary)) for o in census.p1)
     c5 = free_five_circuits(g, census)
     assert c5 == []  # every 5-circuit lives inside a block
-    w = build_weights_5cyc(g, filled, c5)
+    w = build_weights(g, Census("fivecyc", filled, (), ()), c5)
     values = sorted(w.values())
     assert values == [4, 4, 4]  # one e_S per block
 
@@ -92,7 +92,7 @@ def test_weights_oddness_formula():
     from pentafactor.patterns import goes_through
 
     c5 = [c for c in c5 if not any(goes_through(c, s) for s in filled.occurrences)]
-    w = build_weights_oddness(g, filled, c5)
+    w = build_weights(g, filled, c5)
     # Each P3a occurrence puts weight 4 on both edges of its pair; shared
     # boundary edges (ring links selected from both sides) stack additively.
     assert sum(w.values()) == 4 * 2 * 4
@@ -119,7 +119,7 @@ def test_weights_oddness_chain_p1_rule():
     c5 = [c for c in circuits if c.length == 5
           and not any(goes_through(c, s) for s in filled.occurrences)]
     assert c5 == []
-    w = build_weights_oddness(g, filled, c5)
+    w = build_weights(g, filled, c5)
     assert sorted(w.values()) == [8, 8, 8]  # one edge per block
 
 
@@ -144,7 +144,7 @@ def test_p2_tiebreak_minimizes_pairs():
     )
     c5 = [c for c in circuits if c.length == 5
           and not any(goes_through(c, s) for s in filled.occurrences)]
-    w = build_weights_oddness(g, filled, c5)
+    w = build_weights(g, filled, c5)
     m, wt, best_effort = p2_tiebreak(g, w, filled)
     assert not best_effort
 
@@ -263,15 +263,62 @@ def test_vertex_count_inequality_on_reduced():
         )
 
 
-def test_verify_flags_tampering():
-    g = gen_chain_family(1)
-    f, cert = solve_5cyc(g)
-    from dataclasses import replace
+TAMPER_HOSTS = {
+    "chain:1": lambda: gen_chain_family(1),
+    "p3ring:4": lambda: gen_p3_ring(4),
+    "host22": exceptional_22_host,
+}
+TAMPER_SOLVERS = {"five": solve_5cyc, "odd": solve_oddness}
 
-    bad = replace(cert, achieved=0)
-    verdict = verify_certificate(g, f, bad)
+
+@functools.lru_cache(maxsize=None)
+def _solved(host: str, theorem: str):
+    g = TAMPER_HOSTS[host]()
+    return g, *TAMPER_SOLVERS[theorem](g)
+
+
+def _bump(field: str, delta: int):
+    def mutate(cert):
+        if field == "census":
+            return replace(cert, census=(cert.census[0] + delta,) + cert.census[1:])
+        return replace(cert, **{field: getattr(cert, field) + delta})
+    return mutate
+
+
+TAMPER_CASES = [
+    (host, theorem, "achieved", delta)
+    for host in TAMPER_HOSTS
+    for theorem in TAMPER_SOLVERS
+    for delta in (2, -2)
+] + [
+    ("p3ring:4", theorem, field, 2)
+    for theorem in TAMPER_SOLVERS
+    for field in ("bound_value", "n", "census", "fractional_bound", "reduced_n",
+                  "achieved_reduced")
+] + [("p3ring:4", "odd", "invariant_I", 2)]
+
+
+@pytest.mark.parametrize(
+    "host,theorem,field,delta", TAMPER_CASES,
+    ids=[f"{h}-{t}-{f}{d:+d}" for h, t, f, d in TAMPER_CASES],
+)
+def test_verify_flags_tampering(host, theorem, field, delta):
+    g, f, cert = _solved(host, theorem)
+    assert verify_certificate(g, f, cert).ok
+    verdict = verify_certificate(g, f, _bump(field, delta)(cert))
     assert not verdict.ok
-    assert any("achieved" in msg for msg in verdict.failures)
+    if field == "achieved":
+        assert any("achieved" in msg for msg in verdict.failures)
+
+
+def test_check_step_raises_typed_error(monkeypatch):
+    # A bound the claim cannot meet fails in the check step with a typed
+    # error, which python -O does not strip.
+    row = solver._THEOREMS["T2-fivecirc"]
+    monkeypatch.setitem(solver._THEOREMS, "T2-fivecirc",
+                        replace(row, bound=lambda n, reduced_n: Fraction(1)))
+    with pytest.raises(CertificationError, match="count5 bound violated"):
+        solve_5cyc(gen_chain_family(1))
 
 
 def test_certificate_json_round_trip():
