@@ -14,6 +14,8 @@ from .graphs import (
     CubicGraph,
     PETERSEN_EDGES,
     is_connected,
+    match_isomorphic,
+    refinement_hash,
     vertex_profiles,
 )
 
@@ -92,9 +94,7 @@ def gen_p3_ring(copies: int, max_retries: int = 8) -> CubicGraph:
     for shift in range(max_retries):
         try:
             g = build(shift)
-        except (ConstructionFailed, Exception) as exc:
-            if not isinstance(exc, (ConstructionFailed, ValueError)):
-                raise
+        except (ConstructionFailed, ValueError):
             continue
         if bridges(g):
             continue
@@ -153,87 +153,6 @@ def _extensions(g: CubicGraph) -> Iterator[CubicGraph]:
             yield CubicGraph(edges)
 
 
-def _wl_hash(g: CubicGraph, profiles: dict | None = None) -> tuple:
-    """Cheap refinement invariant keying the isomorphism buckets.
-
-    Seeded with per-vertex distance profiles; plain refinement alone cannot
-    split regular graphs.
-    """
-    if profiles is None:
-        profiles = vertex_profiles(g, depth=3)
-    ranks = {p: i for i, p in enumerate(sorted(set(profiles.values())))}
-    colors = {v: ranks[profiles[v]] for v in g.vertices}
-    for _ in range(3):
-        sig = {
-            v: (colors[v], tuple(sorted(colors[g.other_end(e, v)] for e in g.incident(v))))
-            for v in g.vertices
-        }
-        rk = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: rk[sig[v]] for v in g.vertices}
-        if new == colors:
-            break
-        colors = new
-    return (g.n, tuple(sorted(colors.values())),
-            tuple(sorted(tuple(sorted((colors[u], colors[v]))) for u, v
-                         in (g.endpoints(e) for e in g.edge_ids))))
-
-
-def _matches(g1: CubicGraph, prof1, g2: CubicGraph, prof2) -> bool:
-    """Exact isomorphism test by profile-pruned backtracking.
-
-    Assumes n, m, and the profile multisets already agree.  At each step the
-    per-pair edge multiplicities to mapped neighbours and the total edge count
-    into the mapped set are matched, which pins the whole adjacency.
-    """
-    order: list[int] = []
-    placed: set[int] = set()
-    for root in sorted(g1.vertices):
-        if root in placed:
-            continue
-        placed.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in g1.neighbors(v):
-                if w not in placed:
-                    placed.add(w)
-                    queue.append(w)
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        mapped_nbrs = [
-            (mapping[w], len(g1.edges_between(u, w)))
-            for w in set(g1.neighbors(u))
-            if w in mapping
-        ]
-        into_mapped = sum(m for _, m in mapped_nbrs)
-        if mapped_nbrs:
-            cands = sorted(set(g2.neighbors(mapped_nbrs[0][0])))
-        else:
-            cands = [x for x in g2.vertices if x not in used]
-        for x in cands:
-            if x in used or prof2[x] != prof1[u]:
-                continue
-            if any(len(g2.edges_between(x, y)) != m for y, m in mapped_nbrs):
-                continue
-            if sum(1 for e in g2.incident(x) if g2.other_end(e, x) in used) != into_mapped:
-                continue
-            mapping[u] = x
-            used.add(x)
-            if rec(i + 1):
-                return True
-            del mapping[u]
-            used.discard(x)
-        return False
-
-    return rec(0)
-
-
 def cubic_multigraph_levels(max_n: int) -> dict[int, list[CubicGraph]]:
     """All loopless cubic multigraphs (connected or not) up to max_n vertices,
     one representative per isomorphism class."""
@@ -245,13 +164,10 @@ def cubic_multigraph_levels(max_n: int) -> dict[int, list[CubicGraph]]:
         seen: dict[tuple, list[tuple[CubicGraph, dict]]] = {}
 
         def admit(h: CubicGraph) -> None:
-            prof = vertex_profiles(h, depth=3)
-            key = _wl_hash(h, prof)
-            bucket = seen.setdefault(key, [])
-            for rep, rep_prof in bucket:
-                if _matches(h, prof, rep, rep_prof):
-                    return
-            bucket.append((h, prof))
+            prof = vertex_profiles(h)
+            bucket = seen.setdefault(refinement_hash(h, prof), [])
+            if not any(match_isomorphic(h, prof, rep, rep_prof) for rep, rep_prof in bucket):
+                bucket.append((h, prof))
 
         admit(_theta_union((n + 2) // 2))
         for g in levels[n]:

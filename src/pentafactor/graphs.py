@@ -1,4 +1,5 @@
-"""Cubic multigraph representation and circuit/girth primitives.
+"""Cubic multigraph representation, circuit/girth primitives, and the
+exact isomorphism test.
 
 Vertices are arbitrary non-negative integers (not necessarily contiguous),
 which keeps vertex identities stable across reduction steps.  Edges carry
@@ -8,6 +9,7 @@ graphs mint fresh ids for new edges and keep the ids of surviving edges.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -139,7 +141,7 @@ class PatternGraph(MultiGraph):
         return tuple(v for v in self.vertices if self.degree(v) == 2)
 
 
-# Canonical labeling of the Petersen graph used throughout: outer 5-circuit
+# The fixed labeling of the Petersen graph used throughout: outer 5-circuit
 # 0..4, spokes i-(i+5), inner 5-circuit 5,7,9,6,8.
 PETERSEN_EDGES: tuple[tuple[int, int], ...] = (
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -320,11 +322,14 @@ def is_connected(g: MultiGraph, removed_edges: frozenset[int] = frozenset()) -> 
     return len(connected_components(g, removed_edges)) <= 1
 
 
-def vertex_profiles(g: MultiGraph, depth: int | None = None) -> dict[int, tuple]:
+_PROFILE_DEPTH = 3
+
+
+def vertex_profiles(g: MultiGraph) -> dict[int, tuple]:
     """Isomorphism-invariant per-vertex profile: incident edge multiplicities
-    plus the BFS distance histogram (optionally truncated).  Regular graphs
-    defeat plain refinement, so this is what seeds hashing and canonical
-    labeling."""
+    plus the histogram of BFS distances up to ``_PROFILE_DEPTH``.  Regular
+    graphs defeat plain refinement, so this is what seeds the hash and prunes
+    the matcher."""
     out: dict[int, tuple] = {}
     for v in g.vertices:
         mults = tuple(sorted(len(g.edges_between(v, w)) for w in set(g.neighbors(v))))
@@ -333,7 +338,7 @@ def vertex_profiles(g: MultiGraph, depth: int | None = None) -> dict[int, tuple]
         hist: dict[int, int] = {}
         for x in queue:
             dx = dist[x]
-            if depth is not None and dx >= depth:
+            if dx >= _PROFILE_DEPTH:
                 continue
             for e in g.incident(x):
                 w = g.other_end(e, x)
@@ -345,82 +350,104 @@ def vertex_profiles(g: MultiGraph, depth: int | None = None) -> dict[int, tuple]
     return out
 
 
-def canonical_certificate(g: MultiGraph) -> tuple:
-    """Complete isomorphism invariant via individualization-refinement.
-
-    Exact but exponential in the worst case; intended for desk-scale graphs
-    (census members, Petersen detection), not for large hosts.
-    """
-    verts = list(g.vertices)
-    n = len(verts)
-
-    def refine(colors: dict[int, int]) -> dict[int, int]:
-        while True:
-            sig = {
-                v: (colors[v], tuple(sorted(colors[g.other_end(e, v)] for e in g.incident(v))))
-                for v in verts
-            }
-            ranks = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-            new = {v: ranks[sig[v]] for v in verts}
-            if new == colors:
-                return colors
-            colors = new
-
-    def certificate_for(colors: dict[int, int]) -> tuple:
-        order = sorted(verts, key=lambda v: (colors[v], 0))
-        idx = {v: i for i, v in enumerate(order)}
-        rows = sorted(
-            tuple(sorted((idx[u], idx[w]))) for u, w in (g.endpoints(e) for e in g.edge_ids)
-        )
-        return (n, tuple(rows))
-
-    def search(colors: dict[int, int]) -> tuple:
-        colors = refine(colors)
-        by_color: dict[int, list[int]] = {}
-        for v in verts:
-            by_color.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(by_color):
-            if len(by_color[c]) > 1:
-                target = by_color[c]
-                break
-        if target is None:
-            return certificate_for(colors)
-        best: tuple | None = None
-        fresh = max(colors.values()) + 1
-        for v in target:
-            child = dict(colors)
-            child[v] = fresh
-            cert = search(child)
-            if best is None or cert < best:
-                best = cert
-        assert best is not None
-        return best
-
-    if n == 0:
-        return (0, ())
-    profiles = vertex_profiles(g)
+def refinement_hash(g: MultiGraph, profiles: dict[int, tuple]) -> tuple:
+    """Cheap isomorphism invariant: a few rounds of colour refinement seeded
+    with ``profiles``.  Equal hashes do not imply isomorphism; see
+    ``match_isomorphic``."""
     ranks = {p: i for i, p in enumerate(sorted(set(profiles.values())))}
-    return search({v: ranks[profiles[v]] for v in verts})
+    colors = {v: ranks[profiles[v]] for v in g.vertices}
+    for _ in range(3):
+        sig = {
+            v: (colors[v], tuple(sorted(colors[g.other_end(e, v)] for e in g.incident(v))))
+            for v in g.vertices
+        }
+        rk = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new = {v: rk[sig[v]] for v in g.vertices}
+        if new == colors:
+            break
+        colors = new
+    return (g.n, tuple(sorted(colors.values())),
+            tuple(sorted(tuple(sorted((colors[u], colors[v]))) for u, v
+                         in (g.endpoints(e) for e in g.edge_ids))))
+
+
+def match_isomorphic(g1: MultiGraph, prof1: dict[int, tuple],
+                     g2: MultiGraph, prof2: dict[int, tuple]) -> bool:
+    """Exact isomorphism test by profile-pruned backtracking.
+
+    Assumes n and m already agree.  At each step the per-pair edge
+    multiplicities to mapped neighbours and the total edge count into the
+    mapped set are matched, which pins the whole adjacency.
+    """
+    order: list[int] = []
+    placed: set[int] = set()
+    for root in sorted(g1.vertices):
+        if root in placed:
+            continue
+        placed.add(root)
+        queue = [root]
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for w in g1.neighbors(v):
+                if w not in placed:
+                    placed.add(w)
+                    queue.append(w)
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def rec(i: int) -> bool:
+        if i == len(order):
+            return True
+        u = order[i]
+        mapped_nbrs = [
+            (mapping[w], len(g1.edges_between(u, w)))
+            for w in set(g1.neighbors(u))
+            if w in mapping
+        ]
+        into_mapped = sum(m for _, m in mapped_nbrs)
+        if mapped_nbrs:
+            cands = sorted(set(g2.neighbors(mapped_nbrs[0][0])))
+        else:
+            cands = [x for x in g2.vertices if x not in used]
+        for x in cands:
+            if x in used or prof2[x] != prof1[u]:
+                continue
+            if any(len(g2.edges_between(x, y)) != m for y, m in mapped_nbrs):
+                continue
+            if sum(1 for e in g2.incident(x) if g2.other_end(e, x) in used) != into_mapped:
+                continue
+            mapping[u] = x
+            used.add(x)
+            if rec(i + 1):
+                return True
+            del mapping[u]
+            used.discard(x)
+        return False
+
+    return rec(0)
 
 
 def is_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
     if g1.n != g2.n or g1.m != g2.m:
         return False
-    return canonical_certificate(g1) == canonical_certificate(g2)
+    p1, p2 = vertex_profiles(g1), vertex_profiles(g2)
+    return (refinement_hash(g1, p1) == refinement_hash(g2, p2)
+            and match_isomorphic(g1, p1, g2, p2))
 
 
-def _petersen_graph() -> CubicGraph:
-    return CubicGraph(PETERSEN_EDGES)
-
-
-_PETERSEN_CERT: tuple | None = None
+@functools.cache
+def _petersen_form() -> tuple[CubicGraph, dict[int, tuple], tuple]:
+    """Petersen with its profiles and hash, built on first use."""
+    g = CubicGraph(PETERSEN_EDGES)
+    profiles = vertex_profiles(g)
+    return g, profiles, refinement_hash(g, profiles)
 
 
 def is_petersen(g: MultiGraph) -> bool:
-    global _PETERSEN_CERT
     if g.n != 10 or g.m != 15:
         return False
-    if _PETERSEN_CERT is None:
-        _PETERSEN_CERT = canonical_certificate(_petersen_graph())
-    return canonical_certificate(g) == _PETERSEN_CERT
+    pet, pet_profiles, pet_hash = _petersen_form()
+    profiles = vertex_profiles(g)
+    return (refinement_hash(g, profiles) == pet_hash
+            and match_isomorphic(g, profiles, pet, pet_profiles))

@@ -3,7 +3,7 @@
 Every step records a lift table: keyed by the subset of the step's new edges
 that a 2-factor of the reduced graph uses, it lists the original edges that
 replace them.  Lifting never introduces 3- or 5-circuits and never increases
-the 5-circuit count (asserted per step).
+the 5-circuit count (checked per step; a failure raises CertificationError).
 
 Step order inside full_reduce mirrors the proofs' dependency order: 2-cycles,
 triangles, 4-circuits, then 2-cuts, then independent non-trivial 3-cuts,
@@ -17,7 +17,7 @@ from typing import Any
 
 from .coloring import EdgeColoring, UNCOLORABLE, three_edge_color
 from .connectivity import bridges, small_cuts
-from .errors import BridgeCreated, HasBridge, InvalidFactor, Sentinel
+from .errors import BridgeCreated, CertificationError, HasBridge, InvalidFactor, Sentinel
 from .factors import TwoFactor, two_factor_from_edges
 from .graphs import (
     Circuit,
@@ -463,7 +463,7 @@ def lift_two_factor(trace: ReductionTrace, factor: TwoFactor) -> TwoFactor:
     """Map a 2-factor of the reduced graph to one of the original graph.
 
     The lifted factor has no 3-circuits and at most as many 5-circuits; both
-    are asserted per step.
+    are checked per step and a failure raises CertificationError.
     """
     current = two_factor_from_edges(trace.reduced, factor.edge_ids)
     edges = set(current.edge_ids)
@@ -472,7 +472,9 @@ def lift_two_factor(trace: ReductionTrace, factor: TwoFactor) -> TwoFactor:
     for step in reversed(trace.steps):
         edges = step.lift_edges(edges)
         out = two_factor_from_edges(step.pre, frozenset(edges))
-        assert out.count3 == 0, f"{step.kind} lift created a triangle"
-        assert out.count5 <= count5, f"{step.kind} lift increased the 5-count"
+        if out.count3 != 0:
+            raise CertificationError(f"{step.kind} lift created a triangle")
+        if out.count5 > count5:
+            raise CertificationError(f"{step.kind} lift increased the 5-count")
         count5 = out.count5
     return out

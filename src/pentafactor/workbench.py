@@ -174,25 +174,30 @@ def batch_run(
         except NotDefined:
             row.cyclic_connectivity = None
         row.colorable = three_edge_color(g) is not UNCOLORABLE
-        if "five" in mode_set:
-            factor, cert = solve_5cyc(g)
-            row.achieved5 = cert.achieved
-            row.bound5 = cert.bound_floor
-            row.census = list(cert.census) if cert.census else None
-            row.flags.extend(sorted(cert.flags))
-            if "exceptional" not in cert.flags and cert.achieved > cert.bound_floor:
-                row.violations.append("five-circuit bound")
-            if factor.count3 != 0:
-                row.violations.append("triangle in 2-factor")
-        if "odd" in mode_set:
+        # Only "five" reports census, flags and triangles; only "odd" turns
+        # an UnclassifiableP3b into a note.
+        for mode, solve, achieved, bound, violation in (
+            ("five", solve_5cyc, "achieved5", "bound5", "five-circuit bound"),
+            ("odd", solve_oddness, "k_odd", "bound_odd", "oddness bound"),
+        ):
+            if mode not in mode_set:
+                continue
             try:
-                factor, cert = solve_oddness(g)
-                row.k_odd = cert.achieved
-                row.bound_odd = cert.bound_floor
-                if "exceptional" not in cert.flags and cert.achieved > cert.bound_floor:
-                    row.violations.append("oddness bound")
+                factor, cert = solve(g)
             except UnclassifiableP3b as exc:
+                if mode != "odd":
+                    raise
                 row.odd_note = f"UnclassifiableP3b: {exc}"
+                continue
+            setattr(row, achieved, cert.achieved)
+            setattr(row, bound, cert.bound_floor)
+            if "exceptional" not in cert.flags and cert.achieved > cert.bound_floor:
+                row.violations.append(violation)
+            if mode == "five":
+                row.census = list(cert.census) if cert.census else None
+                row.flags.extend(sorted(cert.flags))
+                if factor.count3 != 0:
+                    row.violations.append("triangle in 2-factor")
         if "oracle" in mode_set and g.n <= oracle_cap:
             w5, w = oracle_exact(g, cap=oracle_cap)
             row.oracle_w5 = w5

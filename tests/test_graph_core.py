@@ -1,23 +1,28 @@
-"""Graph core: structure invariants, girth, circuit enumeration, canonical form."""
+"""Graph core: structure invariants, girth, circuit enumeration, isomorphism."""
 
 from __future__ import annotations
 
 import itertools
+import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentafactor.errors import LoopEdge, NotCubic
+from pentafactor.formats import parse_graph
 from pentafactor.graphs import (
     Circuit,
     CubicGraph,
     MultiGraph,
     PETERSEN_EDGES,
-    canonical_certificate,
     enumerate_circuits_up_to,
     girth,
     is_isomorphic,
     is_petersen,
+    match_isomorphic,
+    vertex_profiles,
 )
 
 
@@ -97,7 +102,7 @@ def test_circuit_enumeration_against_networkx(petersen, k4, cube):
         assert mine == nx_simple_cycles(g, 9)
 
 
-def test_canonical_form_detects_isomorphism(petersen):
+def test_isomorphism_detects_relabeling(petersen):
     # Relabel Petersen with a random-looking permutation.
     perm = {v: (7 * v + 3) % 10 for v in range(10)}
     relabeled = CubicGraph([(perm[u], perm[v]) for u, v in PETERSEN_EDGES])
@@ -106,8 +111,73 @@ def test_canonical_form_detects_isomorphism(petersen):
     assert not is_petersen(CubicGraph([(a, b) for a in range(3) for b in range(3, 6)]))
 
 
-def test_canonical_form_separates_nonisomorphic():
+def test_isomorphism_separates_nonisomorphic():
     prism = CubicGraph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                         (0, 3), (1, 4), (2, 5)])
     k33 = CubicGraph([(a, b) for a in range(3) for b in range(3, 6)])
-    assert canonical_certificate(prism) != canonical_certificate(k33)
+    assert not is_isomorphic(prism, k33)
+
+
+CENSUS14 = [
+    parse_graph(line)
+    for line in (Path(__file__).parent / "data" / "cubic_simple_connected_14.g6")
+    .read_text().splitlines()
+    if line
+]
+PROFILE_SETS = [sorted(vertex_profiles(g).values()) for g in CENSUS14]
+
+
+def relabeled(g: CubicGraph, seed: int) -> CubicGraph:
+    """``g`` under a random vertex permutation (onto sparse labels) and a
+    random edge order."""
+    rng = random.Random(seed)
+    image = rng.sample(range(3 * g.n), g.n)
+    perm = dict(zip(g.vertices, image))
+    edges = [(perm[u], perm[v]) for _, (u, v) in g.edge_items()]
+    rng.shuffle(edges)
+    return CubicGraph(edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, len(CENSUS14) - 1), seed=st.integers(0, 2**32 - 1))
+def test_relabeled_census_graph_is_isomorphic(index, seed):
+    g = CENSUS14[index]
+    h = relabeled(g, seed)
+    assert is_isomorphic(g, h) and is_isomorphic(h, g)
+    assert is_petersen(h) == is_petersen(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_relabeled_petersen_is_petersen(seed):
+    pet = CubicGraph(PETERSEN_EDGES)
+    h = relabeled(pet, seed)
+    assert is_petersen(h)
+    assert is_isomorphic(pet, h)
+
+
+def _nx_graph(g: CubicGraph) -> nx.MultiGraph:
+    G = nx.MultiGraph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.endpoints(e) for e in g.edge_ids)
+    return G
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_isomorphism_agrees_with_vf2(data):
+    # Pairs of the same order, so neither n nor m decides, half of them with
+    # equal profile multisets, so the profiles do not decide either; drawing
+    # the same graph twice, relabelled, gives the positives.
+    i = data.draw(st.integers(0, len(CENSUS14) - 1), label="i")
+    g = CENSUS14[i]
+    same_n = [j for j, h in enumerate(CENSUS14) if h.n == g.n]
+    same_profiles = [j for j in same_n if PROFILE_SETS[j] == PROFILE_SETS[i]]
+    j = data.draw(st.one_of(st.sampled_from(same_n), st.sampled_from(same_profiles)),
+                  label="j")
+    h = relabeled(CENSUS14[j], data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    expected = nx.is_isomorphic(_nx_graph(g), _nx_graph(h))
+    assert expected == (i == j)
+    assert is_isomorphic(g, h) == expected
+    # The matcher alone, without the hash in front of it.
+    assert match_isomorphic(g, vertex_profiles(g), h, vertex_profiles(h)) == expected

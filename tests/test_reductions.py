@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pentafactor.coloring import UNCOLORABLE, three_edge_color
 from pentafactor.connectivity import bridges, small_cuts
-from pentafactor.errors import HasBridge
-from pentafactor.factors import complement_two_factor
+from pentafactor.errors import CertificationError, HasBridge
+from pentafactor.factors import complement_two_factor, two_factor_from_edges
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.formats import parse_graph
 from pentafactor.graphs import CubicGraph, PETERSEN_EDGES, girth, is_petersen
@@ -15,6 +20,8 @@ from pentafactor.matching import enumerate_perfect_matchings
 from pentafactor.reductions import (
     NO_COLORABLE_CUT,
     NO_SHORT_CIRCUIT,
+    ReductionStep,
+    ReductionTrace,
     full_reduce,
     lift_two_factor,
     reduce_cut_step,
@@ -95,6 +102,61 @@ def test_empty_trace_lift_is_identity(petersen):
     for m in enumerate_perfect_matchings(petersen):
         f = complement_two_factor(petersen, m)
         assert lift_two_factor(trace, f).edge_ids == f.edge_ids
+
+
+def bad_lift_trace(kind: str):
+    """A one-step trace whose only lift case breaks a lift-back claim, and
+    the reduced factor that triggers it.
+
+    "triangle": the step maps the prism's two-triangle 2-factor to itself.
+    "five": the step maps a 4-circuit of K4 (edge ids 100..105) onto the
+    two 5-circuits of Petersen.
+    """
+    if kind == "triangle":
+        pre = post = CubicGraph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                 (0, 3), (1, 4), (2, 5)])
+        used, new_ids, cases = {0, 1, 2, 3, 4, 5}, frozenset(), {frozenset(): ()}
+    else:
+        pre = CubicGraph(PETERSEN_EDGES)
+        k4 = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
+        post = CubicGraph({100 + i: uv for i, uv in enumerate(k4)})
+        used, new_ids = {100, 101, 102, 103}, frozenset(post.edge_ids)
+        cases = {frozenset(used): (0, 1, 2, 3, 4, 10, 11, 12, 13, 14)}
+    step = ReductionStep(kind="Forged", pre=pre, post=post,
+                         new_ids=new_ids, cases=cases)
+    trace = ReductionTrace(original=pre, reduced=post, steps=(step,),
+                           terminal_flag="forged")
+    return trace, two_factor_from_edges(post, frozenset(used))
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("triangle", "lift created a triangle"),
+    ("five", "lift increased the 5-count"),
+])
+def test_bad_lift_case_raises_typed_error(kind, message):
+    trace, f = bad_lift_trace(kind)
+    with pytest.raises(CertificationError, match=message):
+        lift_two_factor(trace, f)
+
+
+def test_bad_lift_case_raises_under_optimize():
+    # The lift-back checks are not asserts, so python -O keeps them.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "from pentafactor.errors import CertificationError\n"
+        "from pentafactor.reductions import lift_two_factor\n"
+        "from tests.test_reductions import bad_lift_trace\n"
+        "for kind in ('triangle', 'five'):\n"
+        "    try:\n"
+        "        lift_two_factor(*bad_lift_trace(kind))\n"
+        "    except CertificationError:\n"
+        "        continue\n"
+        "    raise SystemExit(kind + ': no CertificationError')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_triangle_lift_lengths():

@@ -10,9 +10,15 @@ from fractions import Fraction
 import pytest
 
 from pentafactor import solver
-from pentafactor.errors import CertificationError, HasBridge, UnclassifiableP3b
+from pentafactor.errors import (
+    CertificationError,
+    HasBridge,
+    OverlapViolation,
+    UnclassifiableP3b,
+)
 from pentafactor.factors import complement_two_factor, two_factor_from_edges
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
+from pentafactor.formats import parse_graph
 from pentafactor.graphs import CubicGraph, PETERSEN_EDGES, enumerate_circuits_up_to
 from pentafactor.matching import enumerate_perfect_matchings, has_two_factor
 from pentafactor.patterns import Census, classify_occurrences, find_occurrences
@@ -355,6 +361,31 @@ def test_exceptional_22_host_end_to_end():
     assert verify_certificate(g, f, cert).ok
     f5, cert5 = solve_5cyc(g)
     assert cert5.achieved <= cert5.bound_floor == 2
+
+
+def test_best_effort_fallback_certifies():
+    # A tie-break cap of 2 stops the enumeration of optimal matchings early,
+    # so the P2 pair count comes from the local search and the certificate
+    # is flagged best-effort; the bound and the verifier still hold.
+    g = exceptional_22_host()
+    f, cert = solve_oddness(g, tiebreak_cap=2)
+    assert cert.flags == frozenset({"best-effort", "disjointness-exception-22"})
+    assert cert.achieved == 2 <= cert.bound_floor == 3
+    assert verify_certificate(g, f, cert).ok
+
+
+# A ring of two P2 blocks: bridgeless, uncolourable, with three 2-cuts.
+P2_RING_2 = "WHeA@GUAs?G@??????G?@??c?A??A??@G??U??Ao?K??@G@"
+
+
+@pytest.mark.xfail(strict=True, raises=OverlapViolation,
+                   reason="open defect: the classified occurrences overlap")
+@pytest.mark.parametrize("solve", [solve_5cyc, solve_oddness])
+def test_p2_ring_of_two_blocks(solve):
+    g = parse_graph(P2_RING_2)
+    assert g.n == 24
+    f, cert = solve(g)
+    assert verify_certificate(g, f, cert).ok
 
 
 def test_census_snark_certificates_verify():
