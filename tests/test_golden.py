@@ -8,6 +8,10 @@ colourable input, a reduction that ends in Petersen, a generic reduced graph
 (tight for the 5-circuit bound), P3a weights, and the P2 tie-break with the
 22-vertex disjointness exception.  A refactor of the solvers must leave every
 digest unchanged.
+
+The reduction-trace digests pin ``full_reduce`` the same way: the reduced
+graph, the terminal flag, the trace summary, and every step's new edge ids,
+lift cases and side colouring.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ import networkx as nx
 import pytest
 
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
+from pentafactor.formats import serialize_graph
 from pentafactor.graphs import CubicGraph
+from pentafactor.reductions import full_reduce
 from pentafactor.solver import nontrivial_certificate, solve_5cyc, solve_oddness
 
-from tests.hosts import exceptional_22_host, two_cycle_fixture
+from tests.hosts import REDUCTION_FIXTURES, exceptional_22_host, two_cut_fixture, two_cycle_fixture
 
 GOLDEN = {
     # input: (solve_5cyc digest, solve_oddness digest)
@@ -62,3 +68,65 @@ def test_golden_nontrivial_certificate():
     # The dodecahedron is cyclically 5-edge-connected with girth 5.
     g = CubicGraph(sorted(nx.dodecahedral_graph().edges()))
     assert certificate_digest(*nontrivial_certificate(g)) == "2612db35ec5b6e59"
+
+
+def _expand_triangles(g: CubicGraph, vertices) -> CubicGraph:
+    """g with each listed vertex replaced by a triangle (inverse Triangle steps)."""
+    edges = dict(g.edge_items())
+    nv, ne = max(g.vertices) + 1, g.max_edge_id() + 1
+    for v in vertices:
+        tri = (nv, nv + 1, nv + 2)
+        for t, e in zip(tri, g.incident(v)):
+            a, b = edges[e]
+            edges[e] = (t, b) if a == v else (a, t)
+        edges.update({ne: (tri[0], tri[1]), ne + 1: (tri[1], tri[2]), ne + 2: (tri[2], tri[0])})
+        nv, ne = nv + 3, ne + 3
+    return CubicGraph(edges)
+
+
+TRACE_INPUTS = {
+    **{kind: builder for kind, builder in REDUCTION_FIXTURES},
+    "chain:1": lambda: gen_chain_family(1),
+    "p3ring:4": lambda: gen_p3_ring(4),
+    # Two triangles, then the 2-cut: a multi-step trace.
+    "TwoCut+triangles": lambda: _expand_triangles(two_cut_fixture(), (5, 25)),
+}
+
+
+def trace_digest(trace) -> str:
+    steps = []
+    for s in trace.steps:
+        coloring = None if s.side_coloring is None else sorted(s.side_coloring.assignment.items())
+        steps.append({
+            "new_ids": sorted(s.new_ids),
+            "cases": sorted([sorted(k), list(v)] for k, v in s.cases.items()),
+            "side_coloring": coloring,
+        })
+    payload = {
+        "reduced": serialize_graph(trace.reduced),
+        "reduced_edges": sorted(trace.reduced.edge_items()),
+        "terminal": trace.terminal_flag,
+        "summary": trace.summary(),
+        "steps": steps,
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+GOLDEN_TRACES = {
+    "FourCycle-both": "18e82f4ddcbdc8c8",
+    "FourCycle-disjoint": "215fa9bd64d0335c",
+    "FourCycle-w1w3": "a08a8df5ea2f8eef",
+    "ThreeCut": "914ebef54cccd373",
+    "Triangle": "15e34f43e9dd6c7b",
+    "TwoCut": "de729c056a79cfe3",
+    "TwoCut+triangles": "dab287b2af1a2a2f",
+    "TwoCycle": "e8da9b157ccea4a0",
+    "chain:1": "12458df50614ca28",
+    "p3ring:4": "d2f6b00f5bb03818",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_INPUTS))
+def test_golden_reduction_traces(name):
+    assert trace_digest(full_reduce(TRACE_INPUTS[name]())) == GOLDEN_TRACES[name]
