@@ -89,7 +89,6 @@ def _solve_common(args, solver, label: str) -> int:
     except UnclassifiableP3b as exc:
         print(f"{label}: UnclassifiableP3b: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    ok = "exceptional" in cert.flags or cert.achieved <= cert.bound_floor
     print(
         f"{label} n={g.n} achieved={cert.achieved} bound={cert.bound_value}"
         f" floor={cert.bound_floor} flags={','.join(sorted(cert.flags)) or '-'}"
@@ -102,7 +101,7 @@ def _solve_common(args, solver, label: str) -> int:
     if getattr(args, "emit_trace", False):
         payload["trace"] = [dict(t) for t in cert.trace_summary]
     _emit(payload, args.json)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_OK if cert.within_bound else EXIT_VIOLATION
 
 
 def cmd_solve5(args) -> int:

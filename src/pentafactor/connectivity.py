@@ -10,7 +10,6 @@ from .graphs import (
     MultiGraph,
     connected_components,
     enumerate_circuits_up_to,
-    girth,
     is_connected,
 )
 
@@ -157,7 +156,8 @@ def cyclic_edge_connectivity(g: MultiGraph) -> int:
     if not is_connected(g):
         raise NotDefined("graph must be connected")
     circuits = [c for c in enumerate_circuits_up_to(g, 9) if _is_chordless(g, c.vertex_set)]
-    if girth(g) > 9:
+    # A shortest circuit is chordless, so no chordless circuit means girth > 9.
+    if not circuits:
         raise NotDefined("cyclic edge connectivity supported only for girth <= 9")
     # Distinct vertex sets suffice; the flow only sees the sets.
     vertex_sets = sorted({c.vertex_set for c in circuits}, key=sorted)

@@ -7,7 +7,10 @@ the 5-circuit count (checked per step; a failure raises CertificationError).
 
 Step order inside full_reduce mirrors the proofs' dependency order: 2-cycles,
 triangles, 4-circuits, then 2-cuts, then independent non-trivial 3-cuts,
-looping to a fixpoint.
+looping to a fixpoint.  Each step computes what it needs once: a girth step
+enumerates the circuits of length <= 4 in one pass, and a cut step colours
+candidate sides smallest first, stops at the first colourable one, and
+builds its reduction from that side's completion and colouring.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ class ReductionStep:
     # edge ids that replace them.
     cases: dict[frozenset[int], tuple[int, ...]]
     side_coloring: EdgeColoring | None = None
-    choice_data: str | None = None
     detail: dict[str, Any] = field(default_factory=dict)
 
     def lift_edges(self, edges: set[int]) -> set[int]:
@@ -87,16 +89,8 @@ def reduce_girth_step(g: CubicGraph) -> ReductionStep | Sentinel:
     the construction, e.g. the theta multigraph)."""
     if bridges(g):
         raise HasBridge("girth reduction requires a bridgeless graph")
-    for c in enumerate_circuits_up_to(g, 2):
-        step = _two_cycle_step(g, c)
-        if step is not None:
-            return step
-    for c in (c for c in enumerate_circuits_up_to(g, 3) if c.length == 3):
-        step = _triangle_step(g, c)
-        if step is not None:
-            return step
-    for c in (c for c in enumerate_circuits_up_to(g, 4) if c.length == 4):
-        step = _four_cycle_step(g, c)
+    for c in enumerate_circuits_up_to(g, 4):  # sorted by length
+        step = _SHORT_CIRCUIT_STEPS[c.length](g, c)
         if step is not None:
             return step
     return NO_SHORT_CIRCUIT
@@ -271,44 +265,40 @@ def _four_cycle_disjoint(g, c: Circuit, o) -> ReductionStep:
             }
         return ReductionStep(
             kind="FourCycle-disjoint", pre=g, post=post,
-            new_ids=frozenset((ea, eb)), cases=cases, choice_data=pairing,
+            new_ids=frozenset((ea, eb)), cases=cases,
             detail={"removed_vertices": list(c.vertices), "pairing": pairing},
         )
     raise BridgeCreated("both 4-circuit reconnections create a bridge")
 
 
+_SHORT_CIRCUIT_STEPS = {2: _two_cycle_step, 3: _triangle_step, 4: _four_cycle_step}
+
+
 # -- cut reduction ---------------------------------------------------------------
 
 
-def _completion_two_cut(g: CubicGraph, side: frozenset[int], cut_ids: tuple[int, int],
-                        virt_id: int) -> tuple[CubicGraph, tuple[int, int], tuple[int, int]]:
-    """(completion graph, side endpoints, outer endpoints) for a 2-cut side."""
-    inner = []
-    outer = []
-    for e in cut_ids:
-        u, v = g.endpoints(e)
-        inner.append(u if u in side else v)
-        outer.append(v if u in side else u)
-    assert inner[0] != inner[1], "2-cut edges share a side vertex (bridge upstream)"
-    edges = {e: g.endpoints(e) for e in g.induced_edge_ids(side)}
-    edges[virt_id] = (inner[0], inner[1])
-    return CubicGraph(edges), (inner[0], inner[1]), (outer[0], outer[1])
-
-
-def _completion_three_cut(g: CubicGraph, side: frozenset[int], cut_ids: tuple[int, int, int],
-                          y: int, base_id: int) -> tuple[CubicGraph, list[int], list[int], dict[int, int]]:
+def _completion(g: CubicGraph, side: frozenset[int], ids: tuple[int, ...]
+                ) -> tuple[CubicGraph, list[int], list[int], tuple[int, ...]]:
+    """(completion graph, side endpoints, outer endpoints, added edge ids) of
+    a cut side, in the order of ``ids``.  A 2-cut side gets one virtual edge
+    joining its two endpoints; a 3-cut side gets a hub vertex joined to its
+    three endpoints."""
     inner, outer = [], []
-    for e in cut_ids:
+    for e in ids:
         u, v = g.endpoints(e)
         inner.append(u if u in side else v)
         outer.append(v if u in side else u)
-    assert len(set(inner)) == 3
+    assert len(set(inner)) == len(ids), "cut edges share a side vertex (bridge upstream)"
     edges = {e: g.endpoints(e) for e in g.induced_edge_ids(side)}
-    y_edge = {}
-    for i, s in enumerate(inner):
-        edges[base_id + i] = (y, s)
-        y_edge[s] = base_id + i
-    return CubicGraph(edges), inner, outer, y_edge
+    base = g.max_edge_id() + 1
+    if len(ids) == 2:
+        added = (base,)
+        edges[base] = (inner[0], inner[1])
+    else:
+        y = max(g.vertices) + 1
+        added = tuple(base + i for i in range(3))
+        edges.update({a: (y, s) for a, s in zip(added, inner)})
+    return CubicGraph(edges), inner, outer, added
 
 
 def reduce_cut_step(g: CubicGraph, k: int) -> ReductionStep | Sentinel:
@@ -316,8 +306,9 @@ def reduce_cut_step(g: CubicGraph, k: int) -> ReductionStep | Sentinel:
 
     For k=3 only independent non-trivial minimal cuts qualify (the
     construction needs six distinct endpoints) and the graph must already
-    have girth >= 5.  Returns NO_COLORABLE_CUT at the fixpoint where every
-    candidate cut separates two uncolorable sides.
+    have girth >= 5.  Sides are coloured smallest first (ties by sorted
+    vertex list) until one is colorable.  Returns NO_COLORABLE_CUT at the
+    fixpoint where every candidate cut separates two uncolorable sides.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
@@ -328,36 +319,24 @@ def reduce_cut_step(g: CubicGraph, k: int) -> ReductionStep | Sentinel:
     cuts = [c for c in small_cuts(g, k) if c.size == k]
     if k == 3:
         cuts = [c for c in cuts if c.independent and not c.trivial]
-    best: tuple[int, tuple[int, ...], Any] | None = None
-    for cut in cuts:
-        all_vs = frozenset(g.vertices)
-        for side in (cut.side_small, all_vs - cut.side_small):
-            ids = tuple(sorted(cut.edge_ids))
-            if k == 2:
-                comp, inner, outer = _completion_two_cut(g, side, ids, g.max_edge_id() + 1)
-            else:
-                comp, inner, outer, _ = _completion_three_cut(
-                    g, side, ids, max(g.vertices) + 1, g.max_edge_id() + 1)
-            col = three_edge_color(comp)
-            if col is UNCOLORABLE:
-                continue
-            key = (len(side), tuple(sorted(side)))
-            if best is None or key < best[:2]:
-                best = (*key, (cut, side, ids))
-    if best is None:
-        return NO_COLORABLE_CUT
-    cut, side, ids = best[2]
-    if k == 2:
-        return _two_cut_step(g, side, ids)
-    return _three_cut_step(g, side, ids)
+    all_vs = frozenset(g.vertices)
+    sides = [(side, tuple(sorted(cut.edge_ids)))
+             for cut in cuts for side in (cut.side_small, all_vs - cut.side_small)]
+    # A side fixes its cut, so the key is unique.
+    sides.sort(key=lambda s: (len(s[0]), sorted(s[0])))
+    for side, ids in sides:
+        completion = _completion(g, side, ids)
+        col = three_edge_color(completion[0])
+        if col is not UNCOLORABLE:
+            build = _two_cut_step if k == 2 else _three_cut_step
+            return build(g, side, ids, completion, col)
+    return NO_COLORABLE_CUT
 
 
-def _two_cut_step(g: CubicGraph, side: frozenset[int], ids: tuple[int, int]) -> ReductionStep:
-    virt = g.max_edge_id() + 1
-    comp, (v1, w1), (v2, w2) = _completion_two_cut(g, side, ids, virt)
+def _two_cut_step(g: CubicGraph, side: frozenset[int], ids: tuple[int, int],
+                  completion, col: EdgeColoring) -> ReductionStep:
+    comp, (v1, w1), (v2, w2), (virt,) = completion
     assert not g.has_edge(v1, w1), "side endpoints adjacent despite minimal cut choice"
-    col = three_edge_color(comp)
-    assert col is not UNCOLORABLE
     e2_new = virt + 1
     post = _derive(g, set(side), {e2_new: (v2, w2)})
     alpha = col.color(virt)
@@ -378,27 +357,24 @@ def _two_cut_step(g: CubicGraph, side: frozenset[int], ids: tuple[int, int]) -> 
     )
 
 
-def _three_cut_step(g: CubicGraph, side: frozenset[int], ids: tuple[int, int, int]) -> ReductionStep:
-    y1 = max(g.vertices) + 1
-    y2 = y1 + 1
-    base = g.max_edge_id() + 1
-    comp, inner, outer, y_edge = _completion_three_cut(g, side, ids, y1, base)
+def _three_cut_step(g: CubicGraph, side: frozenset[int], ids: tuple[int, int, int],
+                    completion, col: EdgeColoring) -> ReductionStep:
+    comp, inner, outer, hub_edges = completion
     for i in range(3):
         for j in range(i + 1, 3):
             assert not g.has_edge(inner[i], inner[j]), \
                 "3-cut side endpoints adjacent despite girth/cut choice"
-    col = three_edge_color(comp)
-    assert col is not UNCOLORABLE
-    new_base = base + 3
+    y2 = max(g.vertices) + 2  # one past the completion's hub
+    new_base = hub_edges[-1] + 1
     new_by_cut = {ids[i]: new_base + i for i in range(3)}
     post = _derive(
         g, set(side),
         {new_base + i: (y2, outer[i]) for i in range(3)},
     )
-    side_ids = [e for e in comp.edge_ids if e not in y_edge.values()]
+    side_ids = [e for e in comp.edge_ids if e not in hub_edges]
     cases = {}
     for unused in range(3):
-        alpha = col.color(y_edge[inner[unused]])
+        alpha = col.color(hub_edges[unused])
         used = [i for i in range(3) if i != unused]
         add = tuple(ids[i] for i in used) + tuple(
             e for e in side_ids if col.color(e) != alpha
@@ -427,27 +403,14 @@ def full_reduce(g: CubicGraph) -> ReductionTrace:
     steps: list[ReductionStep] = []
     cur = g
     while True:
-        if cur.n >= 4 and girth(cur) <= 4:
-            res = reduce_girth_step(cur)
-            if res is not NO_SHORT_CIRCUIT:
-                assert res.post.n < cur.n
-                steps.append(res)
-                cur = res.post
-                continue
-        res = reduce_cut_step(cur, 2)
-        if res is not NO_COLORABLE_CUT:
-            assert res.post.n < cur.n
-            steps.append(res)
-            cur = res.post
-            continue
-        if girth(cur) >= 5:
-            res = reduce_cut_step(cur, 3)
-            if res is not NO_COLORABLE_CUT:
-                assert res.post.n < cur.n
-                steps.append(res)
-                cur = res.post
-                continue
-        break
+        step = reduce_girth_step(cur) or reduce_cut_step(cur, 2)
+        if not step and girth(cur) >= 5:
+            step = reduce_cut_step(cur, 3)
+        if not step:
+            break
+        assert step.post.n < cur.n
+        steps.append(step)
+        cur = step.post
     if is_petersen(cur):
         flag = TERMINAL_PETERSEN
     elif steps and three_edge_color(cur) is not UNCOLORABLE:

@@ -100,6 +100,11 @@ class Certificate:
     def bound_floor(self) -> int:
         return math.floor(self.bound_value)
 
+    @property
+    def within_bound(self) -> bool:
+        """achieved <= floor(bound); an exceptional certificate is exempt."""
+        return FLAG_EXCEPTIONAL in self.flags or self.achieved <= self.bound_floor
+
     def to_json(self) -> dict[str, Any]:
         return {
             "schema": self.schema,
@@ -350,21 +355,22 @@ def enumerate_optimal_matchings(
     """All minimum-weight perfect matchings via Murty-style partitioning.
 
     Returns (matchings, cap_exceeded).  Subproblem cells are disjoint, so no
-    deduplication is needed.
+    deduplication is needed.  The root cell is solved first and holds every
+    perfect matching, so its minimum is the optimum weight.
     """
-    base = _constrained_min(g, w, frozenset(), frozenset())
-    if base is None:
-        raise NoPerfectMatching("graph has no perfect matching")
-    _, best_wt = base
     out: list[frozenset[int]] = []
     stack: list[tuple[frozenset[int], frozenset[int]]] = [(frozenset(), frozenset())]
     while stack:
         forced, forbidden = stack.pop()
         res = _constrained_min(g, w, forced, forbidden)
         if res is None:
+            if not out:  # the root cell
+                raise NoPerfectMatching("graph has no perfect matching")
             continue
         m, wt = res
-        if wt > best_wt:
+        if not out:
+            best_wt = wt
+        elif wt > best_wt:
             continue
         out.append(m)
         if len(out) > cap:
@@ -573,7 +579,7 @@ def _check_claims(
         broken.append("factor contains a triangle")
     if rfactor.odd_count % 2:
         broken.append("oddness must be even")
-    if FLAG_EXCEPTIONAL not in cert.flags and cert.achieved > cert.bound_floor:
+    if not cert.within_bound:
         broken.append(f"{row.metric} bound violated")
     if cert.census is not None:
         if cert.matching_weight > cert.fractional_bound:
@@ -655,8 +661,7 @@ def verify_certificate(g: CubicGraph, factor: TwoFactor, cert: Certificate) -> V
         check(rebuilt.count3 == 0, "factor contains a triangle")
     reduced_n = g.n if cert.reduced_n is None else cert.reduced_n
     check(cert.bound_value == row.bound(g.n, reduced_n), "bound value mismatch")
-    if FLAG_EXCEPTIONAL not in cert.flags:
-        check(cert.achieved <= cert.bound_floor, "achieved exceeds floor(bound)")
+    check(cert.within_bound, "achieved exceeds floor(bound)")
     if row.metric == "odd_count":
         check(cert.achieved % 2 == 0, "oddness must be even")
     if cert.matching_weight is not None and cert.fractional_bound is not None:

@@ -191,7 +191,7 @@ def batch_run(
                 continue
             setattr(row, achieved, cert.achieved)
             setattr(row, bound, cert.bound_floor)
-            if "exceptional" not in cert.flags and cert.achieved > cert.bound_floor:
+            if not cert.within_bound:
                 row.violations.append(violation)
             if mode == "five":
                 row.census = list(cert.census) if cert.census else None

@@ -11,12 +11,13 @@ from pentafactor.connectivity import bridges, cyclic_edge_connectivity, small_cu
 from pentafactor.coloring import UNCOLORABLE, three_edge_color
 from pentafactor.families import (
     connected_cubic_multigraphs,
+    cubic_multigraph_levels,
     gen_chain_family,
     gen_p3_ring,
     gen_petersen,
     simple_cubic_census,
 )
-from pentafactor.graphs import girth, is_petersen
+from pentafactor.graphs import girth, is_connected, is_petersen
 from pentafactor.matching import enumerate_perfect_matchings
 from pentafactor.patterns import classify_occurrences, find_occurrences
 from pentafactor.solver import solve_5cyc, solve_oddness
@@ -77,6 +78,13 @@ def test_p3_ring_census_on_reduced():
     assert len(census.p3) == 4
 
 
+@pytest.fixture(scope="module")
+def fresh_census():
+    """simple_cubic_census(n) for n <= 10, from one incremental build."""
+    levels = cubic_multigraph_levels(10)
+    return {n: [g for g in gs if g.is_simple() and is_connected(g)] for n, gs in levels.items()}
+
+
 def test_census_counts_small():
     levels = connected_cubic_multigraphs(8)
     assert [len(levels[n]) for n in (2, 4, 6, 8)] == [1, 2, 6, 20]
@@ -116,7 +124,7 @@ def _nx_classes(graphs) -> list[list[nx.MultiGraph]]:
     return [cls for classes in buckets.values() for cls in classes]
 
 
-def test_census_file_consistent():
+def test_census_file_consistent(fresh_census):
     # The committed census file matches a fresh regeneration at small sizes
     # and the classical counts overall.
     from pathlib import Path
@@ -131,7 +139,7 @@ def test_census_file_consistent():
     assert {n: len(gs) for n, gs in by_n.items()} == KNOWN_SIMPLE_COUNTS
     for n in (4, 6, 8, 10):
         # Each class of fresh + stored holds one fresh and one stored graph.
-        fresh = simple_cubic_census(n)
+        fresh = fresh_census[n]
         classes = _nx_classes(fresh + by_n[n])
         assert len(classes) == len(fresh) == len(by_n[n])
         assert all(len(cls) == 2 for cls in classes)
@@ -140,9 +148,8 @@ def test_census_file_consistent():
         assert len(_nx_classes(gs)) == len(gs)
 
 
-def test_petersen_is_unique_snark_up_to_10():
-    path_graphs = simple_cubic_census(10)
-    snarks = [g for g in path_graphs
+def test_petersen_is_unique_snark_up_to_10(fresh_census):
+    snarks = [g for g in fresh_census[10]
               if not bridges(g) and three_edge_color(g) is UNCOLORABLE]
     assert len(snarks) == 1
     assert is_petersen(snarks[0])

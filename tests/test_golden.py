@@ -85,7 +85,7 @@ def _expand_triangles(g: CubicGraph, vertices) -> CubicGraph:
 
 
 TRACE_INPUTS = {
-    **{kind: builder for kind, builder in REDUCTION_FIXTURES},
+    **dict(REDUCTION_FIXTURES),
     "chain:1": lambda: gen_chain_family(1),
     "p3ring:4": lambda: gen_p3_ring(4),
     # Two triangles, then the 2-cut: a multi-step trace.

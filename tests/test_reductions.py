@@ -17,6 +17,7 @@ from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.formats import parse_graph
 from pentafactor.graphs import CubicGraph, PETERSEN_EDGES, girth, is_petersen
 from pentafactor.matching import enumerate_perfect_matchings
+from pentafactor import reductions
 from pentafactor.reductions import (
     NO_COLORABLE_CUT,
     NO_SHORT_CIRCUIT,
@@ -195,6 +196,25 @@ def test_cut_step_examples():
     assert step.kind == "TwoCut"
     assert step.post.n == fix.n - 16  # the 16-vertex gadget side is detached
     assert is_petersen(step.post)
+
+
+@pytest.mark.parametrize("builder,k", [(two_cut_fixture, 2), (three_cut_fixture, 3)])
+def test_cut_step_colours_each_side_once(monkeypatch, builder, k):
+    # Sides are coloured smallest first until one is colourable; the step is
+    # built from that colouring, so the chosen side is never recoloured.
+    g = builder()
+    coloured = []
+
+    def counting(h):
+        coloured.append(frozenset(h.vertices) & frozenset(g.vertices))
+        return three_edge_color(h)
+
+    monkeypatch.setattr(reductions, "three_edge_color", counting)
+    step = reduce_cut_step(g, k)
+    chosen = frozenset(g.vertices) - frozenset(step.post.vertices)
+    assert len(coloured) == len(set(coloured))
+    assert coloured[-1] == chosen
+    assert step.side_coloring.is_proper_on(_side_completion(g, chosen, step.detail["cut_edges"]))
 
 
 def _side_completion(g, side, ids):

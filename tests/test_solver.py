@@ -13,13 +13,14 @@ from pentafactor import solver
 from pentafactor.errors import (
     CertificationError,
     HasBridge,
+    NoPerfectMatching,
     OverlapViolation,
     UnclassifiableP3b,
 )
 from pentafactor.factors import complement_two_factor, two_factor_from_edges
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.formats import parse_graph
-from pentafactor.graphs import CubicGraph, PETERSEN_EDGES, enumerate_circuits_up_to
+from pentafactor.graphs import CubicGraph, MultiGraph, PETERSEN_EDGES, enumerate_circuits_up_to
 from pentafactor.matching import enumerate_perfect_matchings, has_two_factor
 from pentafactor.patterns import Census, classify_occurrences, find_occurrences
 from pentafactor.solver import (
@@ -171,6 +172,22 @@ def test_optimal_matching_enumeration(petersen):
     skewed[5] = 0
     ms, _ = enumerate_optimal_matchings(petersen, skewed, cap=100)
     assert all(5 in m for m in ms) and len(ms) == 2
+
+
+def test_optimal_matching_enumeration_solves_root_once(monkeypatch, petersen):
+    # The root cell gives the optimum weight; no separate pre-solve.
+    calls = []
+    original = solver._constrained_min
+
+    def counting(g, w, forced, forbidden):
+        calls.append((forced, forbidden))
+        return original(g, w, forced, forbidden)
+
+    monkeypatch.setattr(solver, "_constrained_min", counting)
+    enumerate_optimal_matchings(petersen, {e: 4 for e in petersen.edge_ids}, cap=100)
+    assert calls.count((frozenset(), frozenset())) == 1
+    with pytest.raises(NoPerfectMatching):
+        enumerate_optimal_matchings(MultiGraph([(0, 1), (1, 2), (2, 0)]), {}, cap=10)
 
 
 def test_p2_tiebreak_no_p2_passthrough(petersen):
