@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from pentafactor.graphs import CubicGraph, PETERSEN_EDGES
 
 MK16 = [(i, (i + 1) % 8) for i in range(8)] + [(i, 8 + i) for i in range(8)] + \
@@ -102,3 +104,14 @@ REDUCTION_FIXTURES = [
     ("TwoCut", two_cut_fixture),
     ("ThreeCut", three_cut_fixture),
 ]
+
+
+def relabeled(g: CubicGraph, seed: int) -> CubicGraph:
+    """``g`` under a random vertex permutation (onto sparse labels) and a
+    random edge order."""
+    rng = random.Random(seed)
+    image = rng.sample(range(3 * g.n), g.n)
+    perm = dict(zip(g.vertices, image))
+    edges = [(perm[u], perm[v]) for _, (u, v) in g.edge_items()]
+    rng.shuffle(edges)
+    return CubicGraph(edges)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 from pathlib import Path
 
 import networkx as nx
@@ -24,6 +23,8 @@ from pentafactor.graphs import (
     match_isomorphic,
     vertex_profiles,
 )
+
+from tests.hosts import relabeled
 
 
 def nx_simple_cycles(g: CubicGraph, cap: int) -> set[frozenset[int]]:
@@ -125,17 +126,6 @@ CENSUS14 = [
     if line
 ]
 PROFILE_SETS = [sorted(vertex_profiles(g).values()) for g in CENSUS14]
-
-
-def relabeled(g: CubicGraph, seed: int) -> CubicGraph:
-    """``g`` under a random vertex permutation (onto sparse labels) and a
-    random edge order."""
-    rng = random.Random(seed)
-    image = rng.sample(range(3 * g.n), g.n)
-    perm = dict(zip(g.vertices, image))
-    edges = [(perm[u], perm[v]) for _, (u, v) in g.edge_items()]
-    rng.shuffle(edges)
-    return CubicGraph(edges)
 
 
 @settings(max_examples=60, deadline=None)

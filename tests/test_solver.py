@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pentafactor import solver
 from pentafactor.errors import (
@@ -22,7 +23,7 @@ from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.formats import parse_graph
 from pentafactor.graphs import CubicGraph, MultiGraph, PETERSEN_EDGES, enumerate_circuits_up_to
 from pentafactor.matching import enumerate_perfect_matchings, has_two_factor
-from pentafactor.patterns import Census, classify_occurrences, find_occurrences
+from pentafactor.patterns import Census, classify_occurrences, find_occurrences, goes_through
 from pentafactor.solver import (
     Certificate,
     build_weights,
@@ -35,7 +36,7 @@ from pentafactor.solver import (
     verify_certificate,
 )
 
-from tests.hosts import exceptional_22_host, two_cut_fixture, two_cycle_fixture
+from tests.hosts import exceptional_22_host, relabeled, two_cut_fixture, two_cycle_fixture
 
 
 def test_complement_factor_examples(petersen, k4, cube):
@@ -194,6 +195,32 @@ def test_p2_tiebreak_no_p2_passthrough(petersen):
     census = Census("oddness", (), (), ())
     m, wt, best_effort = p2_tiebreak(petersen, {e: 4 for e in petersen.edge_ids}, census)
     assert wt == 20 and not best_effort
+
+
+# The k = 3 ring of P2 blocks under an edge relabelling (bench/README.md).
+P2_RING_3_RELABELLED = (
+    "c??A??O??@?A?O?A?_???A??g???AC???GO??CCCA??A??O?GA_C?OGG?E?@A?A???_O??GGCC?C?????G_"
+    "CAC_??P@????K?_??C??@@?"
+)
+
+
+@pytest.mark.parametrize("host", [exceptional_22_host, lambda: parse_graph(P2_RING_3_RELABELLED)],
+                         ids=["exception-22", "p2ring-3"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=None)
+def test_p2_pair_count_is_constant(host, seed):
+    # A P2 occurrence has two boundary edges, and by parity a perfect matching
+    # holds both or neither; either way exactly two circuits of the
+    # complementary factor go through the occurrence.  So every perfect
+    # matching ties on the P2 tie-break's criterion.
+    g = host() if seed is None else relabeled(host(), seed)
+    occurrences = find_occurrences(g, "P2")
+    assert occurrences
+    for m in enumerate_perfect_matchings(g):
+        f = complement_two_factor(g, m)
+        for s in occurrences:
+            assert sum(goes_through(c, s) for c in f.circuits) == 2
 
 
 def test_solve5_colorable(k33, cube):
@@ -402,6 +429,14 @@ def test_p2_ring_of_two_blocks(solve):
     g = parse_graph(P2_RING_2)
     assert g.n == 24
     f, cert = solve(g)
+    assert verify_certificate(g, f, cert).ok
+
+
+@pytest.mark.xfail(strict=True, raises=CertificationError,
+                   reason="open defect: invariant_I accounting violated after edge relabelling")
+def test_relabelled_p2_ring_accounting_defect():
+    g = parse_graph(P2_RING_3_RELABELLED)
+    f, cert = solve_oddness(g)
     assert verify_certificate(g, f, cert).ok
 
 
