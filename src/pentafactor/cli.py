@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="run the girth/cut reductions to a fixpoint")
     common(p)
-    p.add_argument("--emit-trace", action="store_true")
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("patterns", help="P1/P2/P3 occurrence report")

@@ -47,8 +47,9 @@ def _odd_length(c: Circuit) -> int:
 def two_factor_from_edges(g: MultiGraph, edge_ids: frozenset[int]) -> TwoFactor:
     """Decompose a spanning 2-regular edge subset into circuits."""
     incident: dict[int, list[int]] = {v: [] for v in g.vertices}
+    graph_edges = set(g.edge_ids)
     for e in edge_ids:
-        if e not in set(g.edge_ids):
+        if e not in graph_edges:
             raise InvalidFactor(f"edge {e} not in graph")
         u, v = g.endpoints(e)
         incident[u].append(e)

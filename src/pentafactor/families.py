@@ -34,6 +34,8 @@ _P3_COPY_EDGES = tuple(
     (u - 1, v - 1) for u, v in PETERSEN_EDGES if 0 not in (u, v)
 )
 _P3_COPY_STUBS = (0, 3, 4)
+# Rotations of the antipodal matching that gen_p3_ring tries.
+_P3_RING_RETRIES = 8
 
 
 def gen_chain_family(k: int) -> CubicGraph:
@@ -60,7 +62,7 @@ def gen_chain_family(k: int) -> CubicGraph:
     return g
 
 
-def gen_p3_ring(copies: int, max_retries: int = 8) -> CubicGraph:
+def gen_p3_ring(copies: int) -> CubicGraph:
     """An even number of P3 copies wired into a ring without 2-edge-cuts.
 
     One stub to each ring neighbor; third stubs matched antipodally.  If a
@@ -91,7 +93,7 @@ def gen_p3_ring(copies: int, max_retries: int = 8) -> CubicGraph:
             raise ConstructionFailed("antipodal matching incomplete")
         return CubicGraph(edges)
 
-    for shift in range(max_retries):
+    for shift in range(_P3_RING_RETRIES):
         try:
             g = build(shift)
         except (ConstructionFailed, ValueError):

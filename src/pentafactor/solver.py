@@ -4,10 +4,10 @@ The paper proves its bounds the same way, so one pipeline serves them all:
 route Petersen and colourable inputs directly, reduce the rest, classify
 P1/P2/P3, weight the perfect-matching polytope, solve one exact matching, and
 lift the complementary 2-factor back.  What tells one theorem from another
-(bound, counted statistic, census mode, weights, verifier coefficients,
-tie-break, and whether the bound is read off the reduced or the lifted
-factor) is one row of ``_THEOREMS``; ``_solve``, ``_census`` and the verifier
-read nothing else that differs.
+(bound, counted statistic, census mode, weights, verifier coefficients, and
+whether the bound is read off the reduced or the lifted factor) is one row of
+``_THEOREMS``; ``_solve``, ``_census`` and the verifier read nothing else that
+differs.
 
 All bound arithmetic is exact (Fraction); floors are applied only at
 certificate boundaries.  Two intersection predicates are deliberately kept
@@ -29,7 +29,7 @@ from .coloring import UNCOLORABLE, even_two_factor_from_coloring, three_edge_col
 from .connectivity import bridges
 from .errors import CertificationError, HasBridge, NoPerfectMatching
 from .factors import TwoFactor, complement_two_factor, two_factor_from_edges
-from .formats import parse_graph, serialize_graph
+from .formats import cubicmg_encode, parse_graph, serialize_graph
 from .graphs import (
     CubicGraph,
     MultiGraph,
@@ -187,7 +187,6 @@ class _Theorem:
     # Solver: the named reduced-factor statistic is at most matching weight / 4
     # + sum(coefficient * census count).
     accounting: tuple[str, tuple]
-    tiebreak: bool  # minimise P2 through-pairs among optimal matchings
     on_reduced: bool  # achieved is read off the reduced factor, not the lifted one
     triangle_free: bool  # the certified factor has no triangle
 
@@ -200,7 +199,6 @@ _FIVE = _Theorem(
     weights={"c5": 1, "P1": 4, "P2": 0, "P3a": 0},
     vertex_coeffs=(Fraction(5, 3), 10, 0, 0, 0, 9),
     accounting=("count5", (Fraction(-1, 4), 1, 0, 0, 0, 1)),
-    tiebreak=False,
     on_reduced=False,
     triangle_free=True,
 )
@@ -215,7 +213,6 @@ _THEOREMS = {
         weights={"c5": 1, "P1": 8, "P2": 4, "P3a": 4},
         vertex_coeffs=(Fraction(5, 3), 10, 10, 9, 10, 0),
         accounting=("invariant_I", (Fraction(-1, 4), 0, 0, 0, 1, 0)),
-        tiebreak=True,
         on_reduced=True,
         triangle_free=False,
     ),
@@ -395,78 +392,23 @@ def _p2_pairs(g: MultiGraph, m: frozenset[int], census: Census) -> int:
 
 
 def p2_tiebreak(
-    g: MultiGraph, w: WeightVector, census: Census, cap: int = P2_TIEBREAK_CAP
+    g: MultiGraph, w: WeightVector, census: Census
 ) -> tuple[frozenset[int], int, bool]:
     """Among minimum-weight matchings, minimize (P2 occurrence, circuit)
-    through-pairs.  Returns (matching, weight, best_effort)."""
+    through-pairs.  Returns (matching, weight, best_effort).
+
+    Without P2 occurrences this is ``min_weight_perfect_matching``.  Past
+    ``P2_TIEBREAK_CAP`` optima the best matching enumerated so far is
+    returned, flagged best-effort.  No matching has fewer pairs: every
+    perfect matching gives exactly two per occurrence, by parity on the
+    occurrence's two boundary edges (test_p2_pair_count_is_constant).
+    """
     m0, wt = min_weight_perfect_matching(g, w)
     if not census.p2:
         return m0, wt, False
-    matchings, capped = enumerate_optimal_matchings(g, w, cap)
+    matchings, capped = enumerate_optimal_matchings(g, w, P2_TIEBREAK_CAP)
     best = min(matchings, key=lambda m: (_p2_pairs(g, m, census), tuple(sorted(m))))
-    if not capped:
-        return best, wt, False
-    best = _local_pair_search(g, w, census, best)
-    return best, wt, True
-
-
-def _local_pair_search(
-    g: MultiGraph, w: WeightVector, census: Census, m: frozenset[int]
-) -> frozenset[int]:
-    """Hill-climb on weight-preserving alternating cycles near P2 occurrences."""
-    region: set[int] = set()
-    for s in census.p2:
-        region |= s.host_vertices
-        for v in s.host_vertices:
-            region.update(g.neighbors(v))
-    current = set(m)
-    best_pairs = _p2_pairs(g, frozenset(current), census)
-    for _ in range(50):
-        improved = False
-        for cyc in _alternating_cycles(g, current, region, max_len=10):
-            delta = sum(w.get(e, 0) for e in cyc if e not in current) - sum(
-                w.get(e, 0) for e in cyc if e in current
-            )
-            if delta != 0:
-                continue
-            candidate = frozenset(current ^ set(cyc))
-            pairs = _p2_pairs(g, candidate, census)
-            if pairs < best_pairs:
-                current = set(candidate)
-                best_pairs = pairs
-                improved = True
-                break
-        if not improved:
-            break
-    return frozenset(current)
-
-
-def _alternating_cycles(g, matching: set[int], region: set[int], max_len: int):
-    for start in sorted(region):
-        m_edges = [e for e in g.incident(start) if e in matching]
-        if not m_edges:
-            continue
-        first = m_edges[0]
-
-        def walk(v, need_matched, path):
-            if len(path) > max_len:
-                return
-            for e in g.incident(v):
-                if e in path:
-                    continue
-                if (e in matching) != need_matched:
-                    continue
-                u = g.other_end(e, v)
-                if u == start and not need_matched and len(path) >= 3:
-                    yield path + [e]
-                    continue
-                if u not in region or u == start:
-                    continue
-                yield from walk(u, not need_matched, path + [e])
-
-        # Start along the matched edge so the cycle alternates.
-        yield from walk(g.other_end(first, start), False, [first])
-
+    return best, wt, capped
 
 
 # -- the pipeline ----------------------------------------------------------------
@@ -475,16 +417,12 @@ def _alternating_cycles(g, matching: set[int], region: set[int], max_len: int):
 def _reduced_bundle(
     reduced: MultiGraph, factor: TwoFactor
 ) -> tuple[str, tuple[int, ...]]:
-    relabel = {v: i for i, v in enumerate(reduced.vertices)}
-    entries = sorted(
-        (tuple(sorted((relabel[u], relabel[v]))), eid)
-        for eid, (u, v) in reduced.edge_items()
-    )
-    lines = [f"cubicmg {reduced.n} {reduced.m}"]
-    lines += [f"{pair[0]} {pair[1]}" for pair, _ in entries]
-    index_of = {eid: i for i, (_, eid) in enumerate(entries)}
-    idx = tuple(sorted(index_of[e] for e in factor.edge_ids))
-    return "\n".join(lines), idx
+    """The reduced graph as cubicmg text, and the factor as indices of its
+    edge lines.  The encoding relabels vertices in order, so its lines run in
+    endpoint order; parallel edges take their lines in id order."""
+    lines = sorted(reduced.edge_ids, key=lambda e: (reduced.endpoints(e), e))
+    index_of = {e: i for i, e in enumerate(lines)}
+    return cubicmg_encode(reduced), tuple(sorted(index_of[e] for e in factor.edge_ids))
 
 
 def _validated_input(g: CubicGraph) -> None:
@@ -492,9 +430,7 @@ def _validated_input(g: CubicGraph) -> None:
         raise HasBridge("solver requires a 2-edge-connected input")
 
 
-def _solve(
-    g: CubicGraph, row: _Theorem, tiebreak_cap: int = P2_TIEBREAK_CAP
-) -> tuple[TwoFactor, Certificate]:
+def _solve(g: CubicGraph, row: _Theorem) -> tuple[TwoFactor, Certificate]:
     """Certify ``row``'s bound on g: the routing, then the check step.
 
     ``rfactor`` is the factor on the graph the census is taken on (g itself
@@ -539,11 +475,7 @@ def _solve(
         else:
             census, c5 = _census(reduced, row)
             weights = build_weights(reduced, census, c5)
-            best_effort = False
-            if row.tiebreak:
-                matching, wt, best_effort = p2_tiebreak(reduced, weights, census, tiebreak_cap)
-            else:
-                matching, wt = min_weight_perfect_matching(reduced, weights)
+            matching, wt, best_effort = p2_tiebreak(reduced, weights, census)
             rfactor = complement_two_factor(reduced, matching)
             factor = lift_two_factor(trace, rfactor)
             bundle, fidx = _reduced_bundle(reduced, rfactor)
@@ -603,13 +535,11 @@ def solve_5cyc(g: CubicGraph) -> tuple[TwoFactor, Certificate]:
     return _solve(g, _THEOREMS[THEOREM_FIVE])
 
 
-def solve_oddness(
-    g: CubicGraph, tiebreak_cap: int = P2_TIEBREAK_CAP
-) -> tuple[TwoFactor, Certificate]:
+def solve_oddness(g: CubicGraph) -> tuple[TwoFactor, Certificate]:
     """A 2-factor with few odd circuits; the bound 6n/35 is certified on the
     reduced graph and the lifted factor is returned with its own statistics.
     """
-    return _solve(g, _THEOREMS[THEOREM_ODD], tiebreak_cap)
+    return _solve(g, _THEOREMS[THEOREM_ODD])
 
 
 def nontrivial_certificate(g: CubicGraph) -> tuple[TwoFactor, Certificate] | None:
