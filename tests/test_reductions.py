@@ -37,6 +37,7 @@ from tests.hosts import (
     two_cut_fixture,
     two_cycle_fixture,
 )
+from tests.test_golden import TRACE_INPUTS
 
 
 
@@ -254,6 +255,17 @@ def test_generic_fixpoint_postconditions(builder):
         for side in (cut.side_small, all_vs - cut.side_small):
             comp = _side_completion(reduced, side, tuple(sorted(cut.edge_ids)))
             assert three_edge_color(comp) is UNCOLORABLE
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_INPUTS))
+def test_reduction_steps_keep_uncolorable(name):
+    # Every step turns a colouring of post into one of pre: TwoCycle and
+    # Triangle recolour the gadget, the 4-circuit steps see their pendant
+    # colours as a,a,b,b or a,b,c, and the cut steps permute the colourable
+    # side's colours onto the cut edges.  So an uncolorable input stays
+    # uncolorable through the whole trace.
+    for step in full_reduce(TRACE_INPUTS[name]()).steps:
+        assert three_edge_color(step.post) is UNCOLORABLE, step.kind
 
 
 def test_three_cut_step_keeps_uncolorable_side():
