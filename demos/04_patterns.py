@@ -6,16 +6,12 @@ separately by both solvers because they force 5-circuits locally.
 """
 
 from pentafactor import (
-    classify_occurrences,
     find_occurrences,
     gen_chain_family,
     gen_p3_ring,
-    gen_petersen,
     pattern_graph,
+    take_census,
 )
-from pentafactor.graphs import enumerate_circuits_up_to
-from pentafactor.matching import has_two_factor
-from pentafactor.patterns import select_boundary_edges
 
 for kind in ("P1", "P2", "P3"):
     pat = pattern_graph(kind)
@@ -27,17 +23,13 @@ print("\nchain k=1 as host:")
 p1 = find_occurrences(host, "P1")
 p3 = find_occurrences(host, "P3")
 print("P1 occurrences:", len(p1), "| P3 occurrences:", len(p3))
-census = classify_occurrences(host, p1, (), p3, mode="fivecyc", enforce_disjoint=True)
+census = take_census(host, "fivecyc")
 print("classified: P1' =", len(census.p1), ", P3 =", len(census.p3),
       "(every P3 extends to a P1 inside its block)")
 
 ring = gen_p3_ring(4)
 print("\nP3 ring with 4 copies as host:")
-p3 = find_occurrences(ring, "P3")
-census = classify_occurrences(ring, (), (), p3, mode="oddness", enforce_disjoint=True)
-circuits = enumerate_circuits_up_to(ring, 9)
-matcher = lambda c: has_two_factor(ring, c.vertex_set)
+census = take_census(ring, "oddness")
 for occ in census.p3:
-    filled = select_boundary_edges(ring, occ, circuits, matcher, census)
     print("  occurrence on", sorted(occ.host_vertices)[:3], "... ->",
-          filled.class_tag, "pair", sorted(filled.E_S))
+          occ.class_tag, "pair", sorted(occ.E_S))

@@ -54,7 +54,7 @@ from .patterns import (
     classify_occurrences,
     find_occurrences,
     pattern_graph,
-    select_boundary_edges,
+    take_census,
 )
 from .reductions import (
     NO_COLORABLE_CUT,

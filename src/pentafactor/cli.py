@@ -98,8 +98,6 @@ def _solve_common(args, solver, label: str) -> int:
         "certificate": cert.to_json(),
         "factor": _factor_json(factor),
     }
-    if getattr(args, "emit_trace", False):
-        payload["trace"] = [dict(t) for t in cert.trace_summary]
     _emit(payload, args.json)
     return EXIT_OK if cert.within_bound else EXIT_VIOLATION
 
@@ -250,12 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve5", help="triangle-free 2-factor with <= 2(n-2)/15 5-circuits")
     common(p)
-    p.add_argument("--emit-trace", action="store_true")
     p.set_defaults(fn=cmd_solve5)
 
     p = sub.add_parser("oddness", help="2-factor with few odd circuits (6n/35 on reduced)")
     common(p)
-    p.add_argument("--emit-trace", action="store_true")
     p.set_defaults(fn=cmd_oddness)
 
     p = sub.add_parser("oracle", help="exact 5-cyclicity and oddness by enumeration")

@@ -1,4 +1,5 @@
-"""Petersen-derived patterns P1/P2/P3: search, classification, boundary edges.
+"""Petersen-derived patterns P1/P2/P3: search, classification, boundary
+edges, and the census (``take_census``) that both bounds are certified from.
 
 P1 is the Petersen graph minus an edge, P2 the Petersen graph with an edge
 subdivided twice, P3 the Petersen graph minus a vertex.  Occurrences are
@@ -8,12 +9,14 @@ collapse.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .errors import OverlapViolation, UnclassifiableP3b
-from .graphs import Circuit, MultiGraph, PatternGraph, PETERSEN_EDGES
+from .graphs import Circuit, MultiGraph, PatternGraph, PETERSEN_EDGES, enumerate_circuits_up_to
+from .matching import has_two_factor
 
 KINDS = ("P1", "P2", "P3")
 
@@ -25,6 +28,7 @@ P3B2 = "P3b2"
 UNCLASSIFIED = "unclassified"
 
 
+@functools.cache
 def pattern_graph(kind: str) -> PatternGraph:
     base = list(PETERSEN_EDGES)
     if kind == "P1":
@@ -152,17 +156,28 @@ def _search_order(pat: PatternGraph) -> list[int]:
 
 @dataclass(frozen=True)
 class Census:
-    """Classified occurrence sets, per pipeline mode."""
+    """Classified occurrence sets and free 5-circuits, per pipeline mode."""
 
     mode: str  # "oddness" or "fivecyc"
     p1: tuple[PatternOccurrence, ...]   # P1-class (all P1s in fivecyc mode)
     p2: tuple[PatternOccurrence, ...]
     p3: tuple[PatternOccurrence, ...]
     exception_22: bool = False
+    c5: tuple[Circuit, ...] = ()  # the free 5-circuits C5, see take_census
 
     @property
     def occurrences(self) -> tuple[PatternOccurrence, ...]:
         return self.p1 + self.p2 + self.p3
+
+    @property
+    def counts(self) -> tuple[int, int, int, int | None, int | None, int]:
+        """The certificate tuple (c5, p1, p2, p3a, p3b, p3): free 5-circuits,
+        P1-class, P2, P3a, P3b and all P3 occurrences.  The fivecyc census
+        leaves p3a and p3b as None."""
+        if self.mode == "fivecyc":
+            return (len(self.c5), len(self.p1), 0, None, None, len(self.p3))
+        p3a, p3b = self.p3_split()
+        return (len(self.c5), len(self.p1), len(self.p2), len(p3a), len(p3b), len(self.p3))
 
     def p3_split(self) -> tuple[list[PatternOccurrence], list[PatternOccurrence]]:
         p3a = [o for o in self.p3 if o.class_tag == P3A]
@@ -284,6 +299,41 @@ def select_boundary_edges(
     return _classify_p3b(g, occ)
 
 
+def take_census(g: MultiGraph, mode: str) -> Census:
+    """The census both bounds are certified from, on a reduced graph.
+
+    Searches P1 and P3 (and P2 in oddness mode), classifies them with
+    disjointness enforced, and gives each P1/P2 occurrence its e_S.  The
+    oddness census also selects the P3 boundary pairs, which needs every
+    circuit up to length 9; the fivecyc census needs only the 5-circuits.
+    C5 holds the 5-circuits that intersect (fivecyc) or go through
+    (oddness) no classified occurrence.
+    """
+    oddness = mode == "oddness"
+    census = classify_occurrences(
+        g,
+        find_occurrences(g, "P1"),
+        find_occurrences(g, "P2") if oddness else (),
+        find_occurrences(g, "P3"),
+        mode=mode,
+        enforce_disjoint=True,
+    )
+    circuits = enumerate_circuits_up_to(g, 9 if oddness else 5)
+    matcher = lambda c: has_two_factor(g, c.vertex_set)
+
+    def fill(occs: tuple[PatternOccurrence, ...]) -> tuple[PatternOccurrence, ...]:
+        return tuple(select_boundary_edges(g, o, circuits, matcher, census) for o in occs)
+
+    census = replace(census, p1=fill(census.p1), p2=fill(census.p2),
+                     p3=fill(census.p3) if oddness else census.p3)
+    meets = goes_through if oddness else circuit_intersects
+    c5 = tuple(
+        c for c in circuits
+        if c.length == 5 and not any(meets(c, s) for s in census.occurrences)
+    )
+    return replace(census, c5=c5)
+
+
 def goes_through(c: Circuit, occ: PatternOccurrence) -> bool:
     """A circuit goes through an occurrence if they share at least 2 edges."""
     return len(c.edge_set & occ.edge_set) >= 2
@@ -292,7 +342,6 @@ def goes_through(c: Circuit, occ: PatternOccurrence) -> bool:
 def circuit_intersects(c: Circuit, occ: PatternOccurrence) -> bool:
     """Weaker predicate: sharing at least one vertex."""
     return bool(c.vertex_set & occ.host_vertices)
-
 
 
 def _classify_p3b(g: MultiGraph, occ: PatternOccurrence) -> PatternOccurrence:

@@ -36,7 +36,6 @@ NO_COLORABLE_CUT = Sentinel("NO_COLORABLE_CUT")
 
 TERMINAL_GENERIC = "Generic"
 TERMINAL_PETERSEN = "Petersen"
-TERMINAL_COLORABLE = "Colorable"
 
 
 @dataclass(frozen=True)
@@ -208,10 +207,12 @@ def _four_cycle_one_pair(g, c: Circuit, o) -> ReductionStep:
     v1, v2, v3, v4 = vs
     e12, e23, e34, e41 = es
     w1 = o[v1][1]
-    assert o[v3][1] == w1
+    if o[v3][1] != w1:
+        raise CertificationError("4-circuit vertices v1 and v3 have different outside neighbours")
     t = next(e for e in g.incident(w1) if e not in (o[v1][0], o[v3][0]))
     tv = g.other_end(t, w1)
-    assert tv not in (v1, v2, v3, v4), "triangle should have been reduced first"
+    if tv in (v1, v2, v3, v4):
+        raise CertificationError("triangle should have been reduced first")
     z = max(g.vertices) + 1
     base = g.max_edge_id() + 1
     n_w2, n_w4, n_t = base, base + 1, base + 2
@@ -288,7 +289,8 @@ def _completion(g: CubicGraph, side: frozenset[int], ids: tuple[int, ...]
         u, v = g.endpoints(e)
         inner.append(u if u in side else v)
         outer.append(v if u in side else u)
-    assert len(set(inner)) == len(ids), "cut edges share a side vertex (bridge upstream)"
+    if len(set(inner)) != len(ids):
+        raise CertificationError("cut edges share a side vertex (bridge upstream)")
     edges = {e: g.endpoints(e) for e in g.induced_edge_ids(side)}
     base = g.max_edge_id() + 1
     if len(ids) == 2:
@@ -336,7 +338,8 @@ def reduce_cut_step(g: CubicGraph, k: int) -> ReductionStep | Sentinel:
 def _two_cut_step(g: CubicGraph, side: frozenset[int], ids: tuple[int, int],
                   completion, col: EdgeColoring) -> ReductionStep:
     comp, (v1, w1), (v2, w2), (virt,) = completion
-    assert not g.has_edge(v1, w1), "side endpoints adjacent despite minimal cut choice"
+    if g.has_edge(v1, w1):
+        raise CertificationError("side endpoints adjacent despite minimal cut choice")
     e2_new = virt + 1
     post = _derive(g, set(side), {e2_new: (v2, w2)})
     alpha = col.color(virt)
@@ -360,10 +363,8 @@ def _two_cut_step(g: CubicGraph, side: frozenset[int], ids: tuple[int, int],
 def _three_cut_step(g: CubicGraph, side: frozenset[int], ids: tuple[int, int, int],
                     completion, col: EdgeColoring) -> ReductionStep:
     comp, inner, outer, hub_edges = completion
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert not g.has_edge(inner[i], inner[j]), \
-                "3-cut side endpoints adjacent despite girth/cut choice"
+    if any(g.has_edge(inner[i], inner[j]) for i, j in ((0, 1), (0, 2), (1, 2))):
+        raise CertificationError("3-cut side endpoints adjacent despite girth/cut choice")
     y2 = max(g.vertices) + 2  # one past the completion's hub
     new_base = hub_edges[-1] + 1
     new_by_cut = {ids[i]: new_base + i for i in range(3)}
@@ -394,9 +395,10 @@ def full_reduce(g: CubicGraph) -> ReductionTrace:
     """Reduce to a fixpoint: girth >= 5 and no colorable small-cut sides.
 
     Precondition: g is bridgeless and not 3-edge-colorable (colorable inputs
-    bypass reduction in the solvers).  Terminal flags: Petersen when the
-    fixpoint is the Petersen graph, Colorable when a step exposed a colorable
-    graph, Generic otherwise.
+    bypass reduction in the solvers).  Every step turns a colouring of its
+    reduced graph into one of its input, so the fixpoint is uncolorable too.
+    Terminal flags: Petersen when the fixpoint is the Petersen graph, Generic
+    otherwise.
     """
     if bridges(g):
         raise HasBridge("full_reduce requires a bridgeless graph")
@@ -408,17 +410,11 @@ def full_reduce(g: CubicGraph) -> ReductionTrace:
             step = reduce_cut_step(cur, 3)
         if not step:
             break
-        assert step.post.n < cur.n
+        if step.post.n >= cur.n:
+            raise CertificationError(f"{step.kind} step did not shrink the graph")
         steps.append(step)
         cur = step.post
-    if is_petersen(cur):
-        flag = TERMINAL_PETERSEN
-    elif steps and three_edge_color(cur) is not UNCOLORABLE:
-        # Defensive: the reductions keep intermediates uncolorable, so this only
-        # fires when the precondition was violated upstream.
-        flag = TERMINAL_COLORABLE
-    else:
-        flag = TERMINAL_GENERIC
+    flag = TERMINAL_PETERSEN if is_petersen(cur) else TERMINAL_GENERIC
     return ReductionTrace(original=g, reduced=cur, steps=tuple(steps), terminal_flag=flag)
 
 

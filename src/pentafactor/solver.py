@@ -6,14 +6,11 @@ P1/P2/P3, weight the perfect-matching polytope, solve one exact matching, and
 lift the complementary 2-factor back.  What tells one theorem from another
 (bound, counted statistic, census mode, weights, verifier coefficients, and
 whether the bound is read off the reduced or the lifted factor) is one row of
-``_THEOREMS``; ``_solve``, ``_census`` and the verifier read nothing else that
-differs.
+``_THEOREMS``; ``_solve`` and the verifier read nothing else that differs.
+Both take the census with ``patterns.take_census``.
 
 All bound arithmetic is exact (Fraction); floors are applied only at
-certificate boundaries.  Two intersection predicates are deliberately kept
-apart: a circuit *goes through* an occurrence when they share at least two
-edges (oddness census), and *intersects* it when they share a vertex
-(5-circuit census).
+certificate boundaries.
 """
 
 from __future__ import annotations
@@ -23,42 +20,22 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .coloring import UNCOLORABLE, even_two_factor_from_coloring, three_edge_color
 from .connectivity import bridges
 from .errors import CertificationError, HasBridge, NoPerfectMatching
 from .factors import TwoFactor, complement_two_factor, two_factor_from_edges
 from .formats import cubicmg_encode, parse_graph, serialize_graph
-from .graphs import (
-    CubicGraph,
-    MultiGraph,
-    enumerate_circuits_up_to,
-    girth,
-    is_petersen,
-)
+from .graphs import CubicGraph, MultiGraph, girth, is_petersen
 from .matching import (
     WeightVector,
     enumerate_perfect_matchings,
     fractional_objective_value,
-    has_two_factor,
     min_weight_perfect_matching,
 )
-from .patterns import (
-    Census,
-    P3A,
-    circuit_intersects,
-    classify_occurrences,
-    find_occurrences,
-    goes_through,
-    select_boundary_edges,
-)
-from .reductions import (
-    TERMINAL_COLORABLE,
-    TERMINAL_PETERSEN,
-    full_reduce,
-    lift_two_factor,
-)
+from .patterns import Census, P3A, goes_through, take_census
+from .reductions import TERMINAL_PETERSEN, full_reduce, lift_two_factor
 
 THEOREM_FIVE = "T2-fivecirc"
 THEOREM_ODD = "T1-oddness"
@@ -166,9 +143,8 @@ class Certificate:
 
 # -- the theorem table -----------------------------------------------------------
 #
-# Census counts, everywhere below, are the tuple (c5, p1, p2, p3a, p3b, p3):
-# free 5-circuits, P1-class, P2, P3a, P3b and all P3 occurrences.  The
-# fivecyc census leaves p3a and p3b as None.
+# Census counts, everywhere below, are the tuple ``Census.counts``:
+# (c5, p1, p2, p3a, p3b, p3).
 
 
 @dataclass(frozen=True)
@@ -239,61 +215,10 @@ def _fractional_bound(weights: dict[str, int], counts: tuple) -> Fraction:
     )
 
 
-# -- census and weights ----------------------------------------------------------
+# -- weights ---------------------------------------------------------------------
 
 
-def _free_fives(circuits: Sequence, census: Census) -> list:
-    meets = circuit_intersects if census.mode == "fivecyc" else goes_through
-    return [
-        c for c in circuits
-        if c.length == 5 and not any(meets(c, s) for s in census.occurrences)
-    ]
-
-
-def free_five_circuits(g: MultiGraph, census: Census) -> list:
-    """The set C5 for the census mode: 5-circuits not intersecting (fivecyc)
-    or not going through (oddness) any classified occurrence."""
-    return _free_fives(enumerate_circuits_up_to(g, 5), census)
-
-
-def _census(reduced: MultiGraph, row: _Theorem) -> tuple[Census, list]:
-    """The classified census of a reduced graph and its free 5-circuits.
-
-    The oddness census also classifies P2 and selects P3 boundary pairs,
-    which needs every circuit up to length 9; the fivecyc census needs only
-    the 5-circuits and the P1 e_S.
-    """
-    oddness = row.mode == "oddness"
-    census = classify_occurrences(
-        reduced,
-        find_occurrences(reduced, "P1"),
-        find_occurrences(reduced, "P2") if oddness else (),
-        find_occurrences(reduced, "P3"),
-        mode=row.mode,
-        enforce_disjoint=True,
-    )
-    if not oddness:
-        p1 = tuple(replace(o, e_S=min(o.boundary)) for o in census.p1)
-        census = replace(census, p1=p1)
-        return census, free_five_circuits(reduced, census)
-    circuits9 = enumerate_circuits_up_to(reduced, 9)
-    matcher = lambda c: has_two_factor(reduced, c.vertex_set)
-    p1, p2, p3 = (
-        tuple(select_boundary_edges(reduced, o, circuits9, matcher, census) for o in occs)
-        for occs in (census.p1, census.p2, census.p3)
-    )
-    census = Census(census.mode, p1, p2, p3, census.exception_22)
-    return census, _free_fives(circuits9, census)
-
-
-def _census_counts(census: Census, c5_count: int) -> tuple:
-    if census.mode == "fivecyc":
-        return (c5_count, len(census.p1), 0, None, None, len(census.p3))
-    p3a, p3b = census.p3_split()
-    return (c5_count, len(census.p1), len(census.p2), len(p3a), len(p3b), len(census.p3))
-
-
-def build_weights(g: MultiGraph, census: Census, c5: Sequence) -> dict[int, int]:
+def build_weights(g: MultiGraph, census: Census) -> dict[int, int]:
     """Quarter-unit weights from the table row of ``census.mode``: C5
     boundaries, the e_S of each P1 and P2 occurrence, each edge of a P3a pair."""
     table = _WEIGHTS[census.mode]
@@ -302,7 +227,7 @@ def build_weights(g: MultiGraph, census: Census, c5: Sequence) -> dict[int, int]
     def add(e: int, amount: int) -> None:
         w[e] = w.get(e, 0) + amount
 
-    for c in c5:
+    for c in census.c5:
         for e in g.boundary_edge_ids(c.vertex_set):
             add(e, table["c5"])
     for s in census.p1:
@@ -468,13 +393,9 @@ def _solve(g: CubicGraph, row: _Theorem) -> tuple[TwoFactor, Certificate]:
             if row.on_reduced:  # the bound is certified on Petersen itself
                 flags.add(FLAG_EXCEPTIONAL)
                 fields["achieved_reduced"] = metric(rfactor)
-        elif trace.terminal_flag == TERMINAL_COLORABLE:
-            rfactor = even_two_factor_from_coloring(reduced, three_edge_color(reduced))
-            factor = lift_two_factor(trace, rfactor)
-            flags.add(FLAG_COLORABLE)
         else:
-            census, c5 = _census(reduced, row)
-            weights = build_weights(reduced, census, c5)
+            census = take_census(reduced, row.mode)
+            weights = build_weights(reduced, census)
             matching, wt, best_effort = p2_tiebreak(reduced, weights, census)
             rfactor = complement_two_factor(reduced, matching)
             factor = lift_two_factor(trace, rfactor)
@@ -484,7 +405,7 @@ def _solve(g: CubicGraph, row: _Theorem) -> tuple[TwoFactor, Certificate]:
             if census.exception_22:
                 flags.add(FLAG_EXCEPTION_22)
             fields.update(
-                census=_census_counts(census, len(c5)),
+                census=census.counts,
                 matching_weight=wt,
                 fractional_bound=fractional_objective_value(reduced, weights),
                 reduced_graph=bundle,
@@ -635,8 +556,7 @@ def _verify_reduced_bundle(
         failures.append("invariant_I mismatch with reduced factor")
     if cert.census is None:
         return rfactor, failures
-    census, c5 = _census(reduced, row)
-    counts = _census_counts(census, len(c5))
+    counts = take_census(reduced, row.mode).counts
     if counts != cert.census:
         failures.append(f"census mismatch: recomputed {counts}, certified {cert.census}")
     if reduced.n < _dot(row.vertex_coeffs, counts):

@@ -17,7 +17,7 @@ from .families import gen_chain_family, gen_p3_ring, gen_petersen, simple_cubic_
 from .formats import parse_graph
 from .graphs import CubicGraph, girth
 from .matching import enumerate_perfect_matchings
-from .solver import graph_id, solve_5cyc, solve_oddness
+from .solver import FLAG_COLORABLE, graph_id, solve_5cyc, solve_oddness
 
 ORACLE_DEFAULT_CAP = 24
 
@@ -173,9 +173,9 @@ def batch_run(
             row.cyclic_connectivity = cyclic_edge_connectivity(g)
         except NotDefined:
             row.cyclic_connectivity = None
-        row.colorable = three_edge_color(g) is not UNCOLORABLE
         # Only "five" reports census, flags and triangles; only "odd" turns
         # an UnclassifiableP3b into a note.
+        certs = []
         for mode, solve, achieved, bound, violation in (
             ("five", solve_5cyc, "achieved5", "bound5", "five-circuit bound"),
             ("odd", solve_oddness, "k_odd", "bound_odd", "oddness bound"),
@@ -189,6 +189,7 @@ def batch_run(
                     raise
                 row.odd_note = f"UnclassifiableP3b: {exc}"
                 continue
+            certs.append(cert)
             setattr(row, achieved, cert.achieved)
             setattr(row, bound, cert.bound_floor)
             if not cert.within_bound:
@@ -198,6 +199,10 @@ def batch_run(
                 row.flags.extend(sorted(cert.flags))
                 if factor.count3 != 0:
                     row.violations.append("triangle in 2-factor")
+        # A solver flags its certificate colorable exactly when g is 3-edge-colourable.
+        row.colorable = (
+            FLAG_COLORABLE in certs[0].flags if certs else three_edge_color(g) is not UNCOLORABLE
+        )
         if "oracle" in mode_set and g.n <= oracle_cap:
             w5, w = oracle_exact(g, cap=oracle_cap)
             row.oracle_w5 = w5

@@ -91,9 +91,9 @@ def test_emit_trace_in_bundle(capsys, tmp_path):
     gpath = tmp_path / "snark12.mg"
     gpath.write_text(serialize_graph(snark12) + "\n")
     bundle = tmp_path / "bundle.json"
-    assert main(["solve5", str(gpath), "--json", str(bundle), "--emit-trace"]) == 0
-    payload = json.loads(bundle.read_text())
-    assert payload["trace"] and payload["trace"][0]["kind"] == "TwoCycle"
+    assert main(["solve5", str(gpath), "--json", str(bundle)]) == 0
+    trace = json.loads(bundle.read_text())["certificate"]["trace"]
+    assert trace and trace[0]["kind"] == "TwoCycle"
 
 
 def test_batch_generator_spec(capsys):

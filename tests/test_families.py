@@ -19,7 +19,7 @@ from pentafactor.families import (
 )
 from pentafactor.graphs import girth, is_connected, is_petersen
 from pentafactor.matching import enumerate_perfect_matchings
-from pentafactor.patterns import classify_occurrences, find_occurrences
+from pentafactor.patterns import take_census
 from pentafactor.solver import solve_5cyc, solve_oddness
 from pentafactor.workbench import oracle_exact
 
@@ -41,9 +41,7 @@ def test_chain_family_structure(k):
     g = gen_chain_family(k)
     assert g.n == 30 * k + 2
     assert not bridges(g)
-    p1 = find_occurrences(g, "P1")
-    census = classify_occurrences(g, p1, (), (), mode="fivecyc", enforce_disjoint=True)
-    assert len(census.p1) == 3 * k
+    assert len(take_census(g, "fivecyc").p1) == 3 * k
 
 
 def test_chain_family_param_validation():
@@ -71,11 +69,7 @@ def test_p3_ring_census_on_reduced():
     g = gen_p3_ring(4)
     trace = full_reduce(g)
     assert trace.steps == ()  # every cut side is uncolorable
-    p1 = find_occurrences(trace.reduced, "P1")
-    p3 = find_occurrences(trace.reduced, "P3")
-    census = classify_occurrences(
-        trace.reduced, p1, (), p3, mode="fivecyc", enforce_disjoint=True)
-    assert len(census.p3) == 4
+    assert len(take_census(trace.reduced, "fivecyc").p3) == 4
 
 
 @pytest.fixture(scope="module")

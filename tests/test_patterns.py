@@ -8,15 +8,13 @@ import pytest
 from pentafactor.errors import OverlapViolation, UnclassifiableP3b
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.graphs import MultiGraph, PETERSEN_EDGES, enumerate_circuits_up_to
-from pentafactor.matching import has_two_factor
 from pentafactor.patterns import (
     P3A,
     P3B1,
-    Census,
     classify_occurrences,
     find_occurrences,
     pattern_graph,
-    select_boundary_edges,
+    take_census,
 )
 
 
@@ -89,12 +87,9 @@ def test_petersen_classification(petersen):
 
 def test_chain_census():
     g = gen_chain_family(1)
-    p1 = find_occurrences(g, "P1")
-    p2 = find_occurrences(g, "P2")
-    p3 = find_occurrences(g, "P3")
-    five = classify_occurrences(g, p1, p2, p3, mode="fivecyc", enforce_disjoint=True)
+    five = take_census(g, "fivecyc")
     assert len(five.p1) == 3 and len(five.p3) == 0
-    odd = classify_occurrences(g, p1, p2, p3, mode="oddness", enforce_disjoint=True)
+    odd = take_census(g, "oddness")
     assert len(odd.p1) == 3 and len(odd.p2) == 0 and len(odd.p3) == 0
     for occ in five.p1:
         assert len(occ.boundary) == 2
@@ -107,29 +102,20 @@ def test_overlap_violation_raised(petersen):
 
 
 def test_boundary_selection_deterministic():
-    g = gen_chain_family(1)
-    census = classify_occurrences(
-        g, find_occurrences(g, "P1"), (), (), mode="fivecyc")
-    circuits = enumerate_circuits_up_to(g, 9)
-    matcher = lambda c: has_two_factor(g, c.vertex_set)
-    for occ in census.p1:
-        filled = select_boundary_edges(g, occ, circuits, matcher, census)
-        assert filled.e_S == min(occ.boundary)
+    for mode in ("fivecyc", "oddness"):
+        census = take_census(gen_chain_family(1), mode)
+        assert len(census.p1) == 3
+        for occ in census.p1:
+            assert occ.e_S == min(occ.boundary)
 
 
 def test_p3_ring_all_p3a():
-    g = gen_p3_ring(4)
-    p1 = find_occurrences(g, "P1")
-    p3 = find_occurrences(g, "P3")
-    census = classify_occurrences(g, p1, (), p3, mode="oddness", enforce_disjoint=True)
+    census = take_census(gen_p3_ring(4), "oddness")
     assert len(census.p1) == 0 and len(census.p3) == 4
-    circuits = enumerate_circuits_up_to(g, 9)
-    matcher = lambda c: has_two_factor(g, c.vertex_set)
     for occ in census.p3:
-        filled = select_boundary_edges(g, occ, circuits, matcher, census)
-        assert filled.class_tag == P3A
-        assert filled.E_S and len(filled.E_S) == 2
-        assert filled.E_S <= set(occ.boundary)
+        assert occ.class_tag == P3A
+        assert occ.E_S and len(occ.E_S) == 2
+        assert occ.E_S <= set(occ.boundary)
         assert len(occ.boundary) == 3
 
 
@@ -138,8 +124,7 @@ def test_boundary_pair_conditions_against_oracle():
     # machinery: circuits from networkx, the two conditions checked by brute
     # force, and the lexicographically smallest qualifying pair compared.
     g = gen_p3_ring(4)
-    p3 = find_occurrences(g, "P3")
-    census = classify_occurrences(g, (), (), p3, mode="oddness", enforce_disjoint=True)
+    census = take_census(g, "oddness")
 
     G = nx.Graph()
     pair_to_eid = {}
@@ -178,25 +163,17 @@ def test_boundary_pair_conditions_against_oracle():
                 return frozenset((a, b))
         return frozenset()
 
-    circuits = enumerate_circuits_up_to(g, 9)
-    matcher = lambda c: has_two_factor(g, c.vertex_set)
+    assert len(census.p3) == 4
     for occ in census.p3:
-        filled = select_boundary_edges(g, occ, circuits, matcher, census)
-        assert filled.E_S == oracle_pair(occ)
-        assert filled.class_tag == P3A
+        assert occ.E_S == oracle_pair(occ)
+        assert occ.class_tag == P3A
 
 
 def test_p3_ring_two_copies_unclassifiable():
     # With exactly two copies every boundary pair lies on a 9-circuit through
     # the partner copy, and neither boundary configuration applies.
-    g = gen_p3_ring(2)
-    p3 = find_occurrences(g, "P3")
-    census = classify_occurrences(g, (), (), p3, mode="oddness", enforce_disjoint=True)
-    circuits = enumerate_circuits_up_to(g, 9)
-    matcher = lambda c: has_two_factor(g, c.vertex_set)
     with pytest.raises(UnclassifiableP3b):
-        for occ in census.p3:
-            select_boundary_edges(g, occ, circuits, matcher, census)
+        take_census(gen_p3_ring(2), "oddness")
 
 
 _P3_LOCAL = [(u - 1, v - 1) for u, v in PETERSEN_EDGES if 0 not in (u, v)]
@@ -245,8 +222,7 @@ def test_outside_neighbour_properties_on_pairwise_host():
     from pentafactor.patterns import _classify_p3b
 
     g = pairwise_config_host()
-    p3 = find_occurrences(g, "P3")
-    census = classify_occurrences(g, (), (), p3, mode="oddness", enforce_disjoint=True)
+    census = take_census(g, "oddness")
     fives = [c for c in enumerate_circuits_up_to(g, 5) if c.length == 5]
     inner = set()
     for o in census.occurrences:
@@ -262,12 +238,8 @@ def test_outside_neighbour_properties_on_pairwise_host():
 def test_hub_host_selects_admissible_pair():
     # End to end, the hub host's 7-circuits are not containable in 2-factors,
     # so a qualifying pair exists and the occurrences classify as P3a.
-    g = hub_config_host()
-    p3 = find_occurrences(g, "P3")
-    census = classify_occurrences(g, (), (), p3, mode="oddness", enforce_disjoint=True)
-    circuits = enumerate_circuits_up_to(g, 9)
-    matcher = lambda c: has_two_factor(g, c.vertex_set)
+    census = take_census(hub_config_host(), "oddness")
+    assert census.p3
     for occ in census.p3:
-        filled = select_boundary_edges(g, occ, circuits, matcher, census)
-        assert filled.class_tag == P3A
-        assert filled.E_S and filled.E_S <= set(occ.boundary)
+        assert occ.class_tag == P3A
+        assert occ.E_S and occ.E_S <= set(occ.boundary)

@@ -40,7 +40,6 @@ from tests.hosts import (
 from tests.test_golden import TRACE_INPUTS
 
 
-
 def test_girth_step_examples(petersen, k4):
     step = reduce_girth_step(k4)
     assert step.kind == "Triangle"
@@ -216,6 +215,14 @@ def test_cut_step_colours_each_side_once(monkeypatch, builder, k):
     assert len(coloured) == len(set(coloured))
     assert coloured[-1] == chosen
     assert step.side_coloring.is_proper_on(_side_completion(g, chosen, step.detail["cut_edges"]))
+
+
+def test_completion_rejects_shared_side_vertex(petersen):
+    # Two cut edges at one side vertex mean a bridge upstream; the guard is a
+    # typed error, not an assert that python -O would drop.
+    e1, e2, _ = petersen.incident(0)
+    with pytest.raises(CertificationError, match="share a side vertex"):
+        reductions._completion(petersen, frozenset({0}), (e1, e2))
 
 
 def _side_completion(g, side, ids):

@@ -22,13 +22,12 @@ from pentafactor.factors import complement_two_factor, two_factor_from_edges
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.formats import parse_graph
 from pentafactor.graphs import CubicGraph, MultiGraph, PETERSEN_EDGES, enumerate_circuits_up_to
-from pentafactor.matching import enumerate_perfect_matchings, has_two_factor
-from pentafactor.patterns import Census, classify_occurrences, find_occurrences, goes_through
+from pentafactor.matching import enumerate_perfect_matchings
+from pentafactor.patterns import Census, find_occurrences, goes_through, take_census
 from pentafactor.solver import (
     Certificate,
     build_weights,
     enumerate_optimal_matchings,
-    free_five_circuits,
     p2_tiebreak,
     nontrivial_certificate,
     solve_5cyc,
@@ -61,10 +60,11 @@ def test_i_identity_everywhere(petersen, k4, k33, cube):
 
 def test_weights_5cyc_isolated_circuit():
     # A free 5-circuit weighs one quarter-unit on each boundary edge.
+    # With no occurrence classified, every 5-circuit is free.
     g = gen_p3_ring(4)
-    census = Census("fivecyc", (), (), ())
-    c5 = free_five_circuits(g, census)
-    w = build_weights(g, census, c5)
+    c5 = tuple(c for c in enumerate_circuits_up_to(g, 5) if c.length == 5)
+    assert c5
+    w = build_weights(g, Census("fivecyc", (), (), (), c5=c5))
     for c in c5:
         for e in g.boundary_edge_ids(c.vertex_set):
             assert w[e] >= 1
@@ -72,35 +72,19 @@ def test_weights_5cyc_isolated_circuit():
 
 def test_weights_5cyc_chain():
     g = gen_chain_family(1)
-    p1 = find_occurrences(g, "P1")
-    p3 = find_occurrences(g, "P3")
-    census = classify_occurrences(g, p1, (), p3, mode="fivecyc", enforce_disjoint=True)
-    filled = tuple(replace(o, e_S=min(o.boundary)) for o in census.p1)
-    c5 = free_five_circuits(g, census)
-    assert c5 == []  # every 5-circuit lives inside a block
-    w = build_weights(g, Census("fivecyc", filled, (), ()), c5)
+    census = take_census(g, "fivecyc")
+    assert census.p3 == ()
+    assert census.c5 == ()  # every 5-circuit lives inside a block
+    w = build_weights(g, census)
     values = sorted(w.values())
     assert values == [4, 4, 4]  # one e_S per block
 
 
 def test_weights_oddness_formula():
     g = gen_p3_ring(4)
-    from pentafactor.graphs import enumerate_circuits_up_to
-    from pentafactor.patterns import select_boundary_edges
-
-    p3 = find_occurrences(g, "P3")
-    census = classify_occurrences(g, (), (), p3, mode="oddness", enforce_disjoint=True)
-    circuits = enumerate_circuits_up_to(g, 9)
-    matcher = lambda c: has_two_factor(g, c.vertex_set)
-    filled = Census(
-        "oddness", (), (),
-        tuple(select_boundary_edges(g, o, circuits, matcher, census) for o in census.p3),
-    )
-    c5 = [c for c in circuits if c.length == 5]
-    from pentafactor.patterns import goes_through
-
-    c5 = [c for c in c5 if not any(goes_through(c, s) for s in filled.occurrences)]
-    w = build_weights(g, filled, c5)
+    filled = take_census(g, "oddness")
+    assert filled.p1 == filled.p2 == ()
+    w = build_weights(g, filled)
     # Each P3a occurrence puts weight 4 on both edges of its pair; shared
     # boundary edges (ring links selected from both sides) stack additively.
     assert sum(w.values()) == 4 * 2 * 4
@@ -112,22 +96,10 @@ def test_weights_oddness_chain_p1_rule():
     # One P1 occurrence with no other patterns and no free 5-circuits puts a
     # single weight-8 entry on its chosen boundary edge.
     g = gen_chain_family(1)
-    p1 = find_occurrences(g, "P1")
-    census = classify_occurrences(g, p1, (), (), mode="oddness", enforce_disjoint=True)
-    from pentafactor.graphs import enumerate_circuits_up_to
-    from pentafactor.patterns import goes_through, select_boundary_edges
-
-    circuits = enumerate_circuits_up_to(g, 9)
-    matcher = lambda c: has_two_factor(g, c.vertex_set)
-    filled = Census(
-        "oddness",
-        tuple(select_boundary_edges(g, o, circuits, matcher, census) for o in census.p1),
-        (), (),
-    )
-    c5 = [c for c in circuits if c.length == 5
-          and not any(goes_through(c, s) for s in filled.occurrences)]
-    assert c5 == []
-    w = build_weights(g, filled, c5)
+    filled = take_census(g, "oddness")
+    assert filled.p2 == filled.p3 == ()
+    assert filled.c5 == ()
+    w = build_weights(g, filled)
     assert sorted(w.values()) == [8, 8, 8]  # one edge per block
 
 
@@ -135,24 +107,10 @@ def test_p2_tiebreak_minimizes_pairs():
     # On the 22-vertex host with two P2 occurrences, the tie-break picks a
     # minimum-weight matching whose through-pair count is minimal over the
     # whole optimal set.
-    from pentafactor.patterns import goes_through, select_boundary_edges
-    from pentafactor.graphs import enumerate_circuits_up_to
-
     g = exceptional_22_host()
-    p1 = find_occurrences(g, "P1")
-    p2 = find_occurrences(g, "P2")
-    p3 = find_occurrences(g, "P3")
-    census = classify_occurrences(g, p1, p2, p3, mode="oddness", enforce_disjoint=True)
-    circuits = enumerate_circuits_up_to(g, 9)
-    matcher = lambda c: has_two_factor(g, c.vertex_set)
-    filled = Census(
-        "oddness", (),
-        tuple(select_boundary_edges(g, o, circuits, matcher, census) for o in census.p2),
-        (), census.exception_22,
-    )
-    c5 = [c for c in circuits if c.length == 5
-          and not any(goes_through(c, s) for s in filled.occurrences)]
-    w = build_weights(g, filled, c5)
+    filled = take_census(g, "oddness")
+    assert filled.p1 == filled.p3 == () and len(filled.p2) == 2
+    w = build_weights(g, filled)
     m, wt, best_effort = p2_tiebreak(g, w, filled)
     assert not best_effort
 
