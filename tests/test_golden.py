@@ -11,19 +11,23 @@ digest unchanged.
 
 The reduction-trace digests pin ``full_reduce`` the same way: the reduced
 graph, the terminal flag, the trace summary, and every step's new edge ids,
-lift cases and side colouring.
+lift cases and side colouring.  The colouring digest pins
+``three_edge_color`` on the n <= 14 census and three snarks; most colourable
+census graphs colour through the 2-edge-cut split.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+from pentafactor.coloring import UNCOLORABLE, three_edge_color
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
-from pentafactor.formats import serialize_graph
+from pentafactor.formats import parse_graph, serialize_graph
 from pentafactor.graphs import CubicGraph
 from pentafactor.reductions import full_reduce
 from pentafactor.solver import nontrivial_certificate, solve_5cyc, solve_oddness
@@ -130,3 +134,15 @@ GOLDEN_TRACES = {
 @pytest.mark.parametrize("name", sorted(TRACE_INPUTS))
 def test_golden_reduction_traces(name):
     assert trace_digest(full_reduce(TRACE_INPUTS[name]())) == GOLDEN_TRACES[name]
+
+
+def test_golden_colourings():
+    path = Path(__file__).parent / "data" / "cubic_simple_connected_14.g6"
+    graphs = [parse_graph(line) for line in path.read_text().splitlines() if line]
+    graphs += [gen_chain_family(1), gen_chain_family(2), gen_p3_ring(4)]
+    rows = []
+    for g in graphs:
+        col = three_edge_color(g)
+        rows.append(None if col is UNCOLORABLE else sorted(col.assignment.items()))
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "a1470f44dbaf6bbf"

@@ -15,7 +15,7 @@ from pentafactor.errors import CertificationError, HasBridge
 from pentafactor.factors import complement_two_factor, two_factor_from_edges
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.formats import parse_graph
-from pentafactor.graphs import CubicGraph, PETERSEN_EDGES, girth, is_petersen
+from pentafactor.graphs import CubicGraph, PETERSEN_EDGES, girth, is_connected, is_petersen
 from pentafactor.matching import enumerate_perfect_matchings
 from pentafactor import reductions
 from pentafactor.reductions import (
@@ -273,6 +273,14 @@ def test_reduction_steps_keep_uncolorable(name):
     # uncolorable through the whole trace.
     for step in full_reduce(TRACE_INPUTS[name]()).steps:
         assert three_edge_color(step.post) is UNCOLORABLE, step.kind
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_INPUTS))
+def test_reduction_steps_keep_connected(name):
+    # No step may split the graph: a disconnected post would let the census
+    # see two components as one host.
+    for step in full_reduce(TRACE_INPUTS[name]()).steps:
+        assert is_connected(step.post), step.kind
 
 
 def test_three_cut_step_keeps_uncolorable_side():

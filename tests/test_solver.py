@@ -22,8 +22,9 @@ from pentafactor.factors import complement_two_factor, two_factor_from_edges
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.formats import parse_graph
 from pentafactor.graphs import CubicGraph, MultiGraph, PETERSEN_EDGES, enumerate_circuits_up_to
-from pentafactor.matching import enumerate_perfect_matchings
+from pentafactor.matching import enumerate_perfect_matchings, min_weight_perfect_matching
 from pentafactor.patterns import Census, find_occurrences, goes_through, take_census
+from pentafactor.reductions import full_reduce
 from pentafactor.solver import (
     Certificate,
     build_weights,
@@ -179,6 +180,18 @@ def test_p2_pair_count_is_constant(host, seed):
         f = complement_two_factor(g, m)
         for s in occurrences:
             assert sum(goes_through(c, s) for c in f.circuits) == 2
+
+
+@pytest.mark.parametrize("host", [exceptional_22_host, lambda: parse_graph(P2_RING_3_RELABELLED)],
+                         ids=["exception-22", "p2ring-3"])
+def test_p2_tiebreak_keeps_blossom_optimum(host):
+    # Every optimum ties on the P2 pair count, and the blossom's rank bonus
+    # already picks the lexicographically smallest optimum.
+    reduced = full_reduce(host()).reduced
+    census = take_census(reduced, "oddness")
+    assert census.p2
+    w = build_weights(reduced, census)
+    assert p2_tiebreak(reduced, w, census)[0] == min_weight_perfect_matching(reduced, w)[0]
 
 
 def test_solve5_colorable(k33, cube):
