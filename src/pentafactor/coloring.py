@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import bridges, bridges_skipping
-from .errors import ImproperColoring, Sentinel
+from .connectivity import bridges, bridges_skipping, side_completion
+from .errors import CertificationError, ImproperColoring, Sentinel
 from .factors import TwoFactor, two_factor_from_edges
 from .graphs import CubicGraph, MultiGraph, connected_components
 
@@ -90,33 +90,27 @@ def _color_via_two_cut(g: MultiGraph, cut: tuple[int, int]) -> EdgeColoring | Se
     side completions are; the witness is spliced back with one color
     permutation.
     """
-    e1, e2 = cut
     comps = connected_components(g, removed_edges=frozenset(cut))
-    assert len(comps) == 2
+    if len(comps) != 2:
+        raise CertificationError("a 2-edge-cut must leave exactly two components")
     comps.sort(key=len)  # fail fast on the small side
-    fresh = g.max_edge_id() + 1
     sides = []
     for comp in comps:
-        stubs = sorted(
-            v for eid in cut for v in g.endpoints(eid) if v in comp
-        )
-        assert len(stubs) == 2
-        sub = {e: g.endpoints(e) for e in g.induced_edge_ids(comp)}
-        sub[fresh] = tuple(stubs)
-        res = _color_connected(MultiGraph(sub, vertices=comp))
+        completion, _, _, (virt,) = side_completion(g, frozenset(comp), cut)
+        res = _color_connected(completion)
         if res is UNCOLORABLE:
             return UNCOLORABLE
         sides.append(res)
     a, b = sides
-    alpha = a.assignment[fresh]
-    beta = b.assignment[fresh]
+    alpha = a.assignment[virt]
+    beta = b.assignment[virt]
     # Swap beta <-> alpha on side b so the virtual edges agree.
     perm = {c: c for c in COLORS}
     perm[beta], perm[alpha] = alpha, beta
-    merged = {e: c for e, c in a.assignment.items() if e != fresh}
-    merged.update({e: perm[c] for e, c in b.assignment.items() if e != fresh})
-    merged[e1] = alpha
-    merged[e2] = alpha
+    merged = {e: c for e, c in a.assignment.items() if e != virt}
+    merged.update({e: perm[c] for e, c in b.assignment.items() if e != virt})
+    for e in cut:
+        merged[e] = alpha
     return EdgeColoring(merged)
 
 
@@ -195,5 +189,6 @@ def even_two_factor_from_coloring(g: CubicGraph, coloring: EdgeColoring) -> TwoF
         raise ImproperColoring("coloring is not proper on this graph")
     edges = frozenset(e for e in g.edge_ids if coloring.color(e) != 0)
     factor = two_factor_from_edges(g, edges)
-    assert factor.odd_count == 0 and factor.count5 == 0 and factor.count3 == 0
+    if factor.odd_count:
+        raise CertificationError("a colouring's 2-factor must have only even circuits")
     return factor

@@ -1,12 +1,14 @@
-"""Bridges, small edge-cuts, the edge sets E2/E3, and cyclic edge connectivity."""
+"""Bridges, small edge-cuts and their side completions, the edge sets E2/E3,
+and cyclic edge connectivity."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .errors import HasBridge, NotDefined
+from .errors import CertificationError, HasBridge, NotDefined
 from .graphs import (
+    CubicGraph,
     MultiGraph,
     connected_components,
     enumerate_circuits_up_to,
@@ -92,7 +94,8 @@ class EdgeCut:
 
 def _cut_record(g: MultiGraph, ids: frozenset[int]) -> EdgeCut:
     comps = connected_components(g, removed_edges=ids)
-    assert len(comps) == 2, "minimal cut must leave exactly two components"
+    if len(comps) != 2:
+        raise CertificationError("minimal cut must leave exactly two components")
     small = min(comps, key=lambda c: (len(c), tuple(sorted(c))))
     endpoints = [g.endpoints(e) for e in ids]
     verts = [v for uv in endpoints for v in uv]
@@ -130,6 +133,33 @@ def small_cuts(g: MultiGraph, k: int) -> list[EdgeCut]:
     records = [_cut_record(g, c) for c in cuts]
     records.sort(key=lambda c: (c.size, tuple(sorted(c.edge_ids))))
     return records
+
+
+def side_completion(g: MultiGraph, side: frozenset[int], ids: tuple[int, ...]
+                    ) -> tuple[CubicGraph, list[int], list[int], tuple[int, ...]]:
+    """(completion graph, side endpoints, outer endpoints, added edge ids) of
+    a cut side, in the order of ``ids``.  A 2-cut side gets one virtual edge
+    joining its two endpoints; a 3-cut side gets a hub vertex joined to its
+    three endpoints.  By the parity lemma the cut edges of a 3-edge-coloured
+    graph carry one colour (2-cut) or three distinct colours (3-cut), so the
+    added edges can stand for them in a colouring."""
+    inner, outer = [], []
+    for e in ids:
+        u, v = g.endpoints(e)
+        inner.append(u if u in side else v)
+        outer.append(v if u in side else u)
+    if len(set(inner)) != len(ids):
+        raise CertificationError("cut edges share a side vertex (bridge upstream)")
+    edges = {e: g.endpoints(e) for e in g.induced_edge_ids(side)}
+    base = g.max_edge_id() + 1
+    if len(ids) == 2:
+        added = (base,)
+        edges[base] = (inner[0], inner[1])
+    else:
+        y = max(g.vertices) + 1
+        added = tuple(base + i for i in range(3))
+        edges.update({a: (y, s) for a, s in zip(added, inner)})
+    return CubicGraph(edges), inner, outer, added
 
 
 def edges_in_small_cuts(g: MultiGraph) -> tuple[frozenset[int], frozenset[int]]:

@@ -2,7 +2,7 @@
 
 The invariant I sums (7 - |C|_o)/2 over circuits, where |C|_o is the length
 for odd circuits and length + 7 for even ones; it ties circuit lengths to the
-odd-circuit count through I = 7k/2 - n/2, which the constructor asserts.
+odd-circuit count through I = 7k/2 - n/2, which the constructor checks.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidFactor
+from .errors import CertificationError, InvalidFactor
 from .graphs import Circuit, MultiGraph
 
 
@@ -82,7 +82,8 @@ def two_factor_from_edges(g: MultiGraph, edge_ids: frozenset[int]) -> TwoFactor:
 
     inv = sum((Fraction(7 - _odd_length(c), 2) for c in circuits), Fraction(0))
     k = sum(1 for c in circuits if c.is_odd)
-    assert inv == Fraction(7 * k, 2) - Fraction(g.n, 2), "I(M) identity violated"
+    if inv != Fraction(7 * k, 2) - Fraction(g.n, 2):
+        raise CertificationError("I(M) identity violated")
     return TwoFactor(tuple(circuits), frozenset(edge_ids), g.n, inv)
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import OverlapViolation, UnclassifiableP3b
+from .errors import CertificationError, OverlapViolation, UnclassifiableP3b
 from .graphs import Circuit, MultiGraph, PatternGraph, PETERSEN_EDGES, enumerate_circuits_up_to
 from .matching import has_two_factor
 
@@ -148,7 +148,8 @@ def _search_order(pat: PatternGraph) -> list[int]:
             key = (-links, -pat.degree(v), v)
             if best is None or key < best[0]:
                 best = (key, v)
-        assert best is not None, "pattern must be connected"
+        if best is None:
+            raise CertificationError("pattern must be connected")
         order.append(best[1])
         seen.add(best[1])
     return order
@@ -256,7 +257,6 @@ def select_boundary_edges(
     g: MultiGraph,
     occ: PatternOccurrence,
     circuits: Sequence[Circuit],
-    matcher: Callable[[Circuit], bool],
     census: Census,
 ) -> PatternOccurrence:
     """Fill e_S / E_S and finish the class tag of one occurrence.
@@ -271,14 +271,17 @@ def select_boundary_edges(
     common neighbors per pair) decides P3b1/P3b2.
 
     ``circuits`` must include every circuit of length <= 9 through the
-    occurrence; ``matcher`` decides 2-factor containment of a circuit.
+    occurrence.
     """
     if occ.kind in ("P1", "P2"):
-        assert occ.boundary, "boundary must be nonempty on proper hosts"
+        if not occ.boundary:
+            raise CertificationError("boundary must be nonempty on proper hosts")
         return replace(occ, e_S=min(occ.boundary))
 
-    assert occ.kind == "P3"
-    assert len(occ.boundary) == 3, "P3 occurrence must have 3 boundary edges"
+    if occ.kind != "P3":
+        raise CertificationError(f"unknown pattern kind {occ.kind!r}")
+    if len(occ.boundary) != 3:
+        raise CertificationError("P3 occurrence must have 3 boundary edges")
     through = [c for c in circuits if goes_through(c, occ)]
     others = [o for o in census.occurrences if o.edge_set != occ.edge_set]
     for pair in itertools.combinations(sorted(occ.boundary), 2):
@@ -287,7 +290,7 @@ def select_boundary_edges(
         for c in through:
             if not pset <= c.edge_set:
                 continue
-            if c.length == 7 and matcher(c):
+            if c.length == 7 and has_two_factor(g, c.vertex_set):
                 bad = True
                 break
             if c.length == 9 and any(goes_through(c, o) for o in others):
@@ -319,10 +322,9 @@ def take_census(g: MultiGraph, mode: str) -> Census:
         enforce_disjoint=True,
     )
     circuits = enumerate_circuits_up_to(g, 9 if oddness else 5)
-    matcher = lambda c: has_two_factor(g, c.vertex_set)
 
     def fill(occs: tuple[PatternOccurrence, ...]) -> tuple[PatternOccurrence, ...]:
-        return tuple(select_boundary_edges(g, o, circuits, matcher, census) for o in occs)
+        return tuple(select_boundary_edges(g, o, circuits, census) for o in occs)
 
     census = replace(census, p1=fill(census.p1), p2=fill(census.p2),
                      p3=fill(census.p3) if oddness else census.p3)
@@ -348,7 +350,8 @@ def _classify_p3b(g: MultiGraph, occ: PatternOccurrence) -> PatternOccurrence:
     w: list[int] = []
     for v in occ.degree2_images:
         outside = [e for e in g.incident(v) if e in occ.boundary]
-        assert len(outside) == 1
+        if len(outside) != 1:
+            raise CertificationError("a P3 degree-2 vertex must have one boundary edge")
         w.append(g.other_end(outside[0], v))
     if len(set(w)) != 3:
         raise UnclassifiableP3b(

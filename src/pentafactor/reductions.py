@@ -16,10 +16,10 @@ builds its reduction from that side's completion and colouring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from .coloring import EdgeColoring, UNCOLORABLE, three_edge_color
-from .connectivity import bridges, small_cuts
+from .connectivity import bridges, side_completion, small_cuts
 from .errors import BridgeCreated, CertificationError, HasBridge, InvalidFactor, Sentinel
 from .factors import TwoFactor, two_factor_from_edges
 from .graphs import (
@@ -27,6 +27,7 @@ from .graphs import (
     CubicGraph,
     enumerate_circuits_up_to,
     girth,
+    is_connected,
     is_petersen,
 )
 
@@ -85,30 +86,32 @@ def _derive(g: CubicGraph, drop_vertices: set[int],
 def reduce_girth_step(g: CubicGraph) -> ReductionStep | Sentinel:
     """Eliminate one 2-cycle, triangle, or 4-circuit; NO_SHORT_CIRCUIT when no
     reducible short circuit exists (girth >= 5, or the graph is too small for
-    the construction, e.g. the theta multigraph)."""
+    the construction, e.g. the theta multigraph).
+
+    Each builder yields its candidate steps in order of preference; the first
+    whose reduced graph is connected and bridgeless is taken.  A circuit with
+    candidates but no such step raises BridgeCreated.
+    """
     if bridges(g):
         raise HasBridge("girth reduction requires a bridgeless graph")
     for c in enumerate_circuits_up_to(g, 4):  # sorted by length
-        step = _SHORT_CIRCUIT_STEPS[c.length](g, c)
+        step = None
+        for step in _SHORT_CIRCUIT_STEPS[c.length](g, c):
+            if is_connected(step.post) and not bridges(step.post):
+                return step
         if step is not None:
-            return step
+            raise BridgeCreated(f"{step.kind} disconnected the graph or produced a bridge")
     return NO_SHORT_CIRCUIT
 
 
-def _check_post(step: ReductionStep) -> ReductionStep:
-    if bridges(step.post):
-        raise BridgeCreated(f"{step.kind} produced a bridge")
-    return step
-
-
-def _two_cycle_step(g: CubicGraph, c: Circuit) -> ReductionStep | None:
+def _two_cycle_step(g: CubicGraph, c: Circuit) -> Iterator[ReductionStep]:
     u, v = c.vertices
     p1, p2 = sorted(c.edge_ids)
     eu = next(e for e in g.incident(u) if e not in (p1, p2))
     ev = next(e for e in g.incident(v) if e not in (p1, p2))
     u2, v2 = g.other_end(eu, u), g.other_end(ev, v)
     if u2 in (u, v) or v2 in (u, v):
-        return None  # triple edge; component is a theta, nothing to do
+        return  # triple edge; component is a theta, nothing to do
     if u2 == v2:
         raise BridgeCreated("2-cycle removal would create a loop (bridge upstream)")
     e_new = g.max_edge_id() + 1
@@ -117,13 +120,13 @@ def _two_cycle_step(g: CubicGraph, c: Circuit) -> ReductionStep | None:
         frozenset((e_new,)): (eu, p1, ev),
         frozenset(): (p1, p2),
     }
-    return _check_post(ReductionStep(
+    yield ReductionStep(
         kind="TwoCycle", pre=g, post=post, new_ids=frozenset((e_new,)),
         cases=cases, detail={"removed_vertices": [u, v]},
-    ))
+    )
 
 
-def _triangle_step(g: CubicGraph, c: Circuit) -> ReductionStep | None:
+def _triangle_step(g: CubicGraph, c: Circuit) -> Iterator[ReductionStep]:
     u, v, w = c.vertices
     e_uv = g.edges_between(u, v)[0]
     e_vw = g.edges_between(v, w)[0]
@@ -134,7 +137,7 @@ def _triangle_step(g: CubicGraph, c: Circuit) -> ReductionStep | None:
         o = next(e for e in g.incident(x) if e not in tri)
         t = g.other_end(o, x)
         if t in (u, v, w):
-            return None  # doubled triangle edge; 2-cycle pass handles it first
+            return  # doubled triangle edge; 2-cycle pass handles it first
         out[x] = (o, t)
     z = max(g.vertices) + 1
     base = g.max_edge_id() + 1
@@ -145,13 +148,13 @@ def _triangle_step(g: CubicGraph, c: Circuit) -> ReductionStep | None:
         frozenset((new[u], new[w])): (out[u][0], e_uv, e_vw, out[w][0]),
         frozenset((new[v], new[w])): (out[v][0], e_uv, e_uw, out[w][0]),
     }
-    return _check_post(ReductionStep(
+    yield ReductionStep(
         kind="Triangle", pre=g, post=post, new_ids=frozenset(new.values()),
         cases=cases, detail={"contracted": [u, v, w], "new_vertex": z},
-    ))
+    )
 
 
-def _four_cycle_step(g: CubicGraph, c: Circuit) -> ReductionStep | None:
+def _four_cycle_step(g: CubicGraph, c: Circuit) -> Iterator[ReductionStep]:
     v1, v2, v3, v4 = c.vertices
     e12, e23, e34, e41 = c.edge_ids
     cyc_edges = set(c.edge_ids)
@@ -159,22 +162,22 @@ def _four_cycle_step(g: CubicGraph, c: Circuit) -> ReductionStep | None:
     for x in (v1, v2, v3, v4):
         cand = [e for e in g.incident(x) if e not in cyc_edges]
         if len(cand) != 1:
-            return None  # chorded or doubled 4-circuit; earlier passes own it
+            return  # chorded or doubled 4-circuit; earlier passes own it
         o[x] = (cand[0], g.other_end(cand[0], x))
     w1, w2, w3, w4 = (o[x][1] for x in (v1, v2, v3, v4))
     if {w1, w2, w3, w4} & {v1, v2, v3, v4}:
-        return None
+        return
     if w1 == w3 and w2 == w4:
-        return _four_cycle_both(g, c, o)
-    if w1 == w3 or w2 == w4:
-        return _four_cycle_one_pair(g, c, o)
-    if len({w1, w2, w3, w4}) != 4:
-        # w1 == w2 (or similar adjacent coincidence) implies a triangle.
-        return None
-    return _four_cycle_disjoint(g, c, o)
+        yield from _four_cycle_both(g, c, o)
+    elif w1 == w3 or w2 == w4:
+        yield from _four_cycle_one_pair(g, c, o)
+    elif len({w1, w2, w3, w4}) == 4:
+        # Otherwise w1 == w2 (or a similar adjacent coincidence) implies a
+        # triangle.
+        yield from _four_cycle_disjoint(g, c, o)
 
 
-def _four_cycle_both(g, c: Circuit, o) -> ReductionStep | None:
+def _four_cycle_both(g, c: Circuit, o) -> Iterator[ReductionStep]:
     v1, v2, v3, v4 = c.vertices
     e12, e23, e34, e41 = c.edge_ids
     w1 = o[v1][1]
@@ -184,20 +187,20 @@ def _four_cycle_both(g, c: Circuit, o) -> ReductionStep | None:
     t2 = next(e for e in g.incident(w2) if e not in (o[v2][0], o[v4][0]))
     a, b = g.other_end(t1, w1), g.other_end(t2, w2)
     if a in deleted or b in deleted or a == b:
-        return None  # the six vertices close up (K3,3-like); not reducible
+        return  # the six vertices close up (K3,3-like); not reducible
     e_new = g.max_edge_id() + 1
     post = _derive(g, deleted, {e_new: (a, b)})
     cases = {
         frozenset((e_new,)): (t1, o[v1][0], e12, e23, e34, o[v4][0], t2),
         frozenset(): (o[v1][0], e12, o[v2][0], o[v4][0], e34, o[v3][0]),
     }
-    return _check_post(ReductionStep(
+    yield ReductionStep(
         kind="FourCycle-both", pre=g, post=post, new_ids=frozenset((e_new,)),
         cases=cases, detail={"removed_vertices": sorted(deleted)},
-    ))
+    )
 
 
-def _four_cycle_one_pair(g, c: Circuit, o) -> ReductionStep:
+def _four_cycle_one_pair(g, c: Circuit, o) -> Iterator[ReductionStep]:
     vs = list(c.vertices)
     es = list(c.edge_ids)
     if o[vs[0]][1] != o[vs[2]][1]:
@@ -225,82 +228,50 @@ def _four_cycle_one_pair(g, c: Circuit, o) -> ReductionStep:
         frozenset((n_w2, n_t)): (t, o[v1][0], e41, e34, e23, o[v2][0]),
         frozenset((n_w4, n_t)): (t, o[v1][0], e12, e23, e34, o[v4][0]),
     }
-    return _check_post(ReductionStep(
+    yield ReductionStep(
         kind="FourCycle-w1w3", pre=g, post=post,
         new_ids=frozenset((n_w2, n_w4, n_t)), cases=cases,
         detail={"contracted": sorted({v1, v2, v3, v4, w1}), "new_vertex": z},
-    ))
+    )
 
 
-def _four_cycle_disjoint(g, c: Circuit, o) -> ReductionStep:
+def _four_cycle_disjoint(g, c: Circuit, o) -> Iterator[ReductionStep]:
+    """Both reconnections of the four outside neighbours, w1w2|w3w4 first."""
     v1, v2, v3, v4 = c.vertices
     e12, e23, e34, e41 = c.edge_ids
     w = {x: o[x][1] for x in c.vertices}
     base = g.max_edge_id() + 1
     ea, eb = base, base + 1
-
-    def build(pairing: str) -> CubicGraph:
-        if pairing == "w1w2|w3w4":
-            adds = {ea: (w[v1], w[v2]), eb: (w[v3], w[v4])}
-        else:
-            adds = {ea: (w[v1], w[v4]), eb: (w[v2], w[v3])}
-        return _derive(g, set(c.vertices), adds)
-
-    for pairing in ("w1w2|w3w4", "w1w4|w2w3"):
-        post = build(pairing)
-        if bridges(post):
-            continue
-        if pairing == "w1w2|w3w4":
-            cases = {
-                frozenset((ea, eb)): (o[v1][0], e12, o[v2][0], o[v3][0], e34, o[v4][0]),
-                frozenset((ea,)): (o[v1][0], e41, e34, e23, o[v2][0]),
-                frozenset((eb,)): (o[v3][0], e23, e12, e41, o[v4][0]),
-                frozenset(): (e12, e23, e34, e41),
-            }
-        else:
-            cases = {
-                frozenset((ea, eb)): (o[v1][0], e41, o[v4][0], o[v2][0], e23, o[v3][0]),
-                frozenset((ea,)): (o[v1][0], e12, e23, e34, o[v4][0]),
-                frozenset((eb,)): (o[v2][0], e12, e41, e34, o[v3][0]),
-                frozenset(): (e12, e23, e34, e41),
-            }
-        return ReductionStep(
-            kind="FourCycle-disjoint", pre=g, post=post,
-            new_ids=frozenset((ea, eb)), cases=cases,
-            detail={"removed_vertices": list(c.vertices), "pairing": pairing},
-        )
-    raise BridgeCreated("both 4-circuit reconnections create a bridge")
+    yield ReductionStep(
+        kind="FourCycle-disjoint", pre=g,
+        post=_derive(g, set(c.vertices), {ea: (w[v1], w[v2]), eb: (w[v3], w[v4])}),
+        new_ids=frozenset((ea, eb)),
+        cases={
+            frozenset((ea, eb)): (o[v1][0], e12, o[v2][0], o[v3][0], e34, o[v4][0]),
+            frozenset((ea,)): (o[v1][0], e41, e34, e23, o[v2][0]),
+            frozenset((eb,)): (o[v3][0], e23, e12, e41, o[v4][0]),
+            frozenset(): (e12, e23, e34, e41),
+        },
+        detail={"removed_vertices": list(c.vertices), "pairing": "w1w2|w3w4"},
+    )
+    yield ReductionStep(
+        kind="FourCycle-disjoint", pre=g,
+        post=_derive(g, set(c.vertices), {ea: (w[v1], w[v4]), eb: (w[v2], w[v3])}),
+        new_ids=frozenset((ea, eb)),
+        cases={
+            frozenset((ea, eb)): (o[v1][0], e41, o[v4][0], o[v2][0], e23, o[v3][0]),
+            frozenset((ea,)): (o[v1][0], e12, e23, e34, o[v4][0]),
+            frozenset((eb,)): (o[v2][0], e12, e41, e34, o[v3][0]),
+            frozenset(): (e12, e23, e34, e41),
+        },
+        detail={"removed_vertices": list(c.vertices), "pairing": "w1w4|w2w3"},
+    )
 
 
 _SHORT_CIRCUIT_STEPS = {2: _two_cycle_step, 3: _triangle_step, 4: _four_cycle_step}
 
 
 # -- cut reduction ---------------------------------------------------------------
-
-
-def _completion(g: CubicGraph, side: frozenset[int], ids: tuple[int, ...]
-                ) -> tuple[CubicGraph, list[int], list[int], tuple[int, ...]]:
-    """(completion graph, side endpoints, outer endpoints, added edge ids) of
-    a cut side, in the order of ``ids``.  A 2-cut side gets one virtual edge
-    joining its two endpoints; a 3-cut side gets a hub vertex joined to its
-    three endpoints."""
-    inner, outer = [], []
-    for e in ids:
-        u, v = g.endpoints(e)
-        inner.append(u if u in side else v)
-        outer.append(v if u in side else u)
-    if len(set(inner)) != len(ids):
-        raise CertificationError("cut edges share a side vertex (bridge upstream)")
-    edges = {e: g.endpoints(e) for e in g.induced_edge_ids(side)}
-    base = g.max_edge_id() + 1
-    if len(ids) == 2:
-        added = (base,)
-        edges[base] = (inner[0], inner[1])
-    else:
-        y = max(g.vertices) + 1
-        added = tuple(base + i for i in range(3))
-        edges.update({a: (y, s) for a, s in zip(added, inner)})
-    return CubicGraph(edges), inner, outer, added
 
 
 def reduce_cut_step(g: CubicGraph, k: int) -> ReductionStep | Sentinel:
@@ -327,7 +298,7 @@ def reduce_cut_step(g: CubicGraph, k: int) -> ReductionStep | Sentinel:
     # A side fixes its cut, so the key is unique.
     sides.sort(key=lambda s: (len(s[0]), sorted(s[0])))
     for side, ids in sides:
-        completion = _completion(g, side, ids)
+        completion = side_completion(g, side, ids)
         col = three_edge_color(completion[0])
         if col is not UNCOLORABLE:
             build = _two_cut_step if k == 2 else _three_cut_step

@@ -34,7 +34,7 @@ from .matching import (
     fractional_objective_value,
     min_weight_perfect_matching,
 )
-from .patterns import Census, P3A, goes_through, take_census
+from .patterns import Census, P3A, take_census
 from .reductions import TERMINAL_PETERSEN, full_reduce, lift_two_factor
 
 THEOREM_FIVE = "T2-fivecirc"
@@ -306,34 +306,24 @@ def enumerate_optimal_matchings(
     return out, False
 
 
-def _p2_pairs(g: MultiGraph, m: frozenset[int], census: Census) -> int:
-    factor = complement_two_factor(g, m)
-    return sum(
-        1
-        for s in census.p2
-        for c in factor.circuits
-        if goes_through(c, s)
-    )
-
-
 def p2_tiebreak(
     g: MultiGraph, w: WeightVector, census: Census
 ) -> tuple[frozenset[int], int, bool]:
-    """Among minimum-weight matchings, minimize (P2 occurrence, circuit)
-    through-pairs.  Returns (matching, weight, best_effort).
+    """The blossom's minimum-weight matching, and whether more than
+    ``P2_TIEBREAK_CAP`` optima exist.  Returns (matching, weight, best_effort).
 
-    Without P2 occurrences this is ``min_weight_perfect_matching``.  Past
-    ``P2_TIEBREAK_CAP`` optima the best matching enumerated so far is
-    returned, flagged best-effort.  No matching has fewer pairs: every
-    perfect matching gives exactly two per occurrence, by parity on the
-    occurrence's two boundary edges (test_p2_pair_count_is_constant).
+    No other optimum wins the P2 tie-break: every perfect matching gives
+    exactly two (occurrence, circuit) through-pairs per P2 occurrence, by
+    parity on its two boundary edges (test_p2_pair_count_is_constant), and
+    the blossom's rank bonus already picks the lexicographically smallest
+    optimum.  On P2 hosts the optima are enumerated only to set the
+    best-effort flag; the kept matching is the blossom's either way.
     """
-    m0, wt = min_weight_perfect_matching(g, w)
+    m, wt = min_weight_perfect_matching(g, w)
     if not census.p2:
-        return m0, wt, False
-    matchings, capped = enumerate_optimal_matchings(g, w, P2_TIEBREAK_CAP)
-    best = min(matchings, key=lambda m: (_p2_pairs(g, m, census), tuple(sorted(m))))
-    return best, wt, capped
+        return m, wt, False
+    _, capped = enumerate_optimal_matchings(g, w, P2_TIEBREAK_CAP)
+    return m, wt, capped
 
 
 # -- the pipeline ----------------------------------------------------------------
@@ -523,6 +513,8 @@ def verify_certificate(g: CubicGraph, factor: TwoFactor, cert: Certificate) -> V
     if cert.reduced_graph is not None and cert.reduced_factor is not None:
         rfactor, bundle_failures = _verify_reduced_bundle(cert, row)
         failures.extend(bundle_failures)
+    elif cert.invariant_I is not None:
+        check(cert.invariant_I == rebuilt.invariant_I, "invariant_I mismatch with factor")
     if row.on_reduced and rfactor is not None:
         check(cert.achieved == metric(rfactor), f"achieved != reduced factor {row.metric}")
     elif row.on_reduced and cert.achieved_reduced is not None:

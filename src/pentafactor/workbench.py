@@ -3,10 +3,8 @@ enumeration oracle for oddness and 5-cyclicity."""
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Iterable, Iterator
 
 from .connectivity import bridges, cyclic_edge_connectivity
@@ -219,20 +217,3 @@ def batch_run(
         "max_n": max((r.n for r in rows), default=0),
     }
     return BatchReport(rows=rows, modes=tuple(sorted(mode_set)), summary=summary)
-
-
-def nine_over_n_check(g: CubicGraph) -> dict[str, Any] | None:
-    """Empirical n/9 report for 3-edge-connected girth-5 inputs without
-    3-edge-cuts separating colorable subgraphs; no certificate is issued,
-    only the observed comparison."""
-    from .connectivity import small_cuts
-    from .reductions import NO_COLORABLE_CUT, reduce_cut_step
-
-    if girth(g) != 5 or bridges(g) or small_cuts(g, 2):
-        return None
-    if reduce_cut_step(g, 3) is not NO_COLORABLE_CUT:
-        return None
-    factor, cert = solve_5cyc(g)
-    bound = math.floor(Fraction(g.n, 9))
-    return {"n": g.n, "achieved": cert.achieved, "floor_n_over_9": bound,
-            "holds": cert.achieved <= bound}

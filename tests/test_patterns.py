@@ -5,7 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from pentafactor.errors import OverlapViolation, UnclassifiableP3b
+from pentafactor.errors import CertificationError, OverlapViolation, UnclassifiableP3b
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.graphs import MultiGraph, PETERSEN_EDGES, enumerate_circuits_up_to
 from pentafactor.patterns import (
@@ -68,6 +68,13 @@ def test_p3_in_p3_host():
     occs = find_occurrences(host, "P3")
     assert len(occs) == 1
     assert occs[0].boundary == ()
+
+
+def test_census_of_p3_host_raises_typed_error():
+    # The lone P3 occurrence has no boundary edges to select from; the guard
+    # is a typed error that python -O keeps.
+    with pytest.raises(CertificationError, match="3 boundary edges"):
+        take_census(pattern_graph("P3"), "oddness")
 
 
 def test_k33_hosts_nothing(k33):

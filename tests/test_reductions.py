@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pentafactor.coloring import UNCOLORABLE, three_edge_color
-from pentafactor.connectivity import bridges, small_cuts
+from pentafactor.connectivity import bridges, side_completion, small_cuts
 from pentafactor.errors import CertificationError, HasBridge
 from pentafactor.factors import complement_two_factor, two_factor_from_edges
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
@@ -222,7 +222,7 @@ def test_completion_rejects_shared_side_vertex(petersen):
     # typed error, not an assert that python -O would drop.
     e1, e2, _ = petersen.incident(0)
     with pytest.raises(CertificationError, match="share a side vertex"):
-        reductions._completion(petersen, frozenset({0}), (e1, e2))
+        side_completion(petersen, frozenset({0}), (e1, e2))
 
 
 def _side_completion(g, side, ids):

@@ -15,7 +15,6 @@ from pentafactor.errors import (
     CertificationError,
     HasBridge,
     NoPerfectMatching,
-    OverlapViolation,
     UnclassifiableP3b,
 )
 from pentafactor.factors import complement_two_factor, two_factor_from_edges
@@ -288,6 +287,7 @@ TAMPER_HOSTS = {
     "chain:1": lambda: gen_chain_family(1),
     "p3ring:4": lambda: gen_p3_ring(4),
     "host22": exceptional_22_host,
+    "k33": lambda: CubicGraph([(a, b) for a in range(3) for b in range(3, 6)]),
 }
 TAMPER_SOLVERS = {"five": solve_5cyc, "odd": solve_oddness}
 
@@ -316,7 +316,7 @@ TAMPER_CASES = [
     for theorem in TAMPER_SOLVERS
     for field in ("bound_value", "n", "census", "fractional_bound", "reduced_n",
                   "achieved_reduced")
-] + [("p3ring:4", "odd", "invariant_I", 2)]
+] + [(host, "odd", "invariant_I", 2) for host in ("p3ring:4", "k33")]
 
 
 @pytest.mark.parametrize(
@@ -379,10 +379,9 @@ def test_exceptional_22_host_end_to_end():
 
 
 def test_best_effort_fallback_certifies(monkeypatch):
-    # A tie-break cap of 2 stops the enumeration of optimal matchings early,
-    # so the P2 pair count is minimised over the optima enumerated so far and
-    # the certificate is flagged best-effort; the bound and the verifier
-    # still hold.
+    # With a tie-break cap of 2, the host has more optima than the cap, so
+    # the certificate is flagged best-effort; the kept matching is the
+    # blossom's either way, and the bound and the verifier still hold.
     monkeypatch.setattr(solver, "P2_TIEBREAK_CAP", 2)
     g = exceptional_22_host()
     f, cert = solve_oddness(g)
@@ -395,10 +394,10 @@ def test_best_effort_fallback_certifies(monkeypatch):
 P2_RING_2 = "WHeA@GUAs?G@??????G?@??c?A??A??@G??U??Ao?K??@G@"
 
 
-@pytest.mark.xfail(strict=True, raises=OverlapViolation,
-                   reason="open defect: the classified occurrences overlap")
 @pytest.mark.parametrize("solve", [solve_5cyc, solve_oddness])
 def test_p2_ring_of_two_blocks(solve):
+    # The first reconnection of one 4-circuit splits this graph in two; the
+    # girth step takes the other one, so the census sees one connected host.
     g = parse_graph(P2_RING_2)
     assert g.n == 24
     f, cert = solve(g)

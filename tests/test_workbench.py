@@ -13,7 +13,6 @@ from pentafactor.graphs import CubicGraph
 from pentafactor.workbench import (
     batch_run,
     load_graphs,
-    nine_over_n_check,
     oracle_exact,
     parse_generator_spec,
 )
@@ -37,9 +36,6 @@ def test_p3_ring_probes_n_over_9():
     g = gen_p3_ring(2)
     w5, w = oracle_exact(g)
     assert (w5, w) == (0, 2)
-    report = nine_over_n_check(g)
-    assert report is not None and report["holds"]
-    assert report["floor_n_over_9"] == 2
 
 
 def test_generator_specs():
