@@ -115,3 +115,15 @@ def relabeled(g: CubicGraph, seed: int) -> CubicGraph:
     edges = [(perm[u], perm[v]) for _, (u, v) in g.edge_items()]
     rng.shuffle(edges)
     return CubicGraph(edges)
+
+
+def p2_ring(k: int) -> CubicGraph:
+    """A ring of k P2 blocks.  Block i is Petersen minus the edge (0, 1) with
+    0 and 1 joined by a 2-path x-y; y is linked to the next block's x."""
+    edges = []
+    for i in range(k):
+        off = 12 * i
+        x, y = off + 10, off + 11
+        edges += [(u + off, v + off) for u, v in PETERSEN_EDGES if (u, v) != (0, 1)]
+        edges += [(off, x), (x, y), (y, off + 1), (y, 12 * ((i + 1) % k) + 10)]
+    return CubicGraph(edges)

@@ -3,18 +3,33 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pentafactor.coloring import _find_two_cut
 from pentafactor.connectivity import (
+    _cut_record,
     bridges,
+    bridges_skipping,
     cyclic_edge_connectivity,
     edges_in_small_cuts,
     small_cuts,
 )
 from pentafactor.errors import HasBridge, NotDefined
-from pentafactor.families import gen_chain_family, gen_petersen
-from pentafactor.graphs import CubicGraph, MultiGraph, connected_components
+from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
+from pentafactor.formats import parse_graph
+from pentafactor.graphs import CubicGraph, MultiGraph, connected_components, girth
+from tests.hosts import exceptional_22_host, p2_ring, relabeled
+
+CENSUS14 = [
+    parse_graph(line)
+    for line in (Path(__file__).parent / "data" / "cubic_simple_connected_14.g6")
+    .read_text().splitlines()
+    if line
+]
 
 
 def oracle_small_cuts(g, k):
@@ -146,3 +161,87 @@ def test_cyclic_connectivity_oracle_cross_check(cube):
     # Wagner graph V8 (Moebius ladder): cyclically 4-edge-connected.
     v8 = CubicGraph([(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
     assert cyclic_edge_connectivity(v8) == oracle_cyclic_connectivity(v8)
+
+
+# -- the bridge-pass references ----------------------------------------------------
+
+
+def bridge_pass_small_cuts(g, k):
+    """Reference: one bridge pass per edge and one per edge pair.  A pair
+    {e, f} is a 2-cut iff f is a bridge of g - e; a triple is a 3-cut iff h
+    is a bridge of g - {e, f} and no pair inside it is a 2-cut."""
+    ids = list(g.edge_ids)
+    pair_cuts: set[frozenset[int]] = set()
+    for e in ids:
+        for f in bridges_skipping(g, frozenset((e,))) or ():
+            pair_cuts.add(frozenset((e, f)))
+    cuts = set(pair_cuts)
+    if k == 3:
+        for e, f in itertools.combinations(ids, 2):
+            if frozenset((e, f)) in pair_cuts:
+                continue
+            for h in bridges_skipping(g, frozenset((e, f))) or ():
+                triple = frozenset((e, f, h))
+                if any(frozenset(p) in pair_cuts for p in itertools.combinations(triple, 2)):
+                    continue
+                cuts.add(triple)
+    records = [_cut_record(g, c) for c in cuts]
+    records.sort(key=lambda c: (c.size, tuple(sorted(c.edge_ids))))
+    return records
+
+
+def bridge_pass_two_cut(g):
+    """Reference: the first edge in id order that lies in a 2-cut, with the
+    smallest bridge of g minus that edge."""
+    for e in g.edge_ids:
+        br = bridges_skipping(g, frozenset((e,)))
+        if br:
+            return e, br[0]
+    return None
+
+
+def assert_cuts_match_bridge_pass(g):
+    assert small_cuts(g, 2) == bridge_pass_small_cuts(g, 2)
+    assert small_cuts(g, 3) == bridge_pass_small_cuts(g, 3)
+    assert _find_two_cut(g) == bridge_pass_two_cut(g)
+
+
+BRIDGELESS_CENSUS14 = [g for g in CENSUS14 if not bridges(g)]
+
+CUT_HOSTS = {
+    "chain:1": lambda: gen_chain_family(1),
+    "chain:2": lambda: gen_chain_family(2),
+    "p3ring:4": lambda: gen_p3_ring(4),
+    "p2ring:3": lambda: p2_ring(3),
+    "exception-22": exceptional_22_host,
+}
+
+
+def test_small_cuts_match_bridge_pass_on_census():
+    assert len(BRIDGELESS_CENSUS14) == 587
+    for g in BRIDGELESS_CENSUS14:
+        assert_cuts_match_bridge_pass(g)
+
+
+@pytest.mark.parametrize("name", sorted(CUT_HOSTS))
+def test_small_cuts_match_bridge_pass(name):
+    assert_cuts_match_bridge_pass(CUT_HOSTS[name]())
+
+
+@pytest.mark.parametrize("name", ["chain:1", "p3ring:4"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_small_cuts_match_bridge_pass_relabelled(name, seed):
+    assert_cuts_match_bridge_pass(relabeled(CUT_HOSTS[name](), seed))
+
+
+def test_cyclic_connectivity_below_four_iff_small_cut():
+    # In a bridgeless cubic graph a cyclic edge-cut of size < 4 is a 2-cut or
+    # a 3-cut whose small side is more than one vertex.
+    graphs = [g for g in CENSUS14 if g.n >= 12 and girth(g) == 5]
+    assert graphs
+    graphs += [gen_chain_family(1), gen_p3_ring(4),
+               CubicGraph(sorted(nx.dodecahedral_graph().edges()))]
+    for g in graphs:
+        below_four = any(c.size == 2 or not c.trivial for c in small_cuts(g, 3))
+        assert below_four == (cyclic_edge_connectivity(g) < 4)
