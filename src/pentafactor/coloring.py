@@ -9,9 +9,10 @@ splits chains of uncolorable blocks into Petersen-sized pieces.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .connectivity import bridges, bridges_skipping, side_completion
+from .connectivity import bridges, bridges_skipping, cut_labels, side_completion
 from .errors import CertificationError, ImproperColoring, Sentinel
 from .factors import TwoFactor, two_factor_from_edges
 from .graphs import CubicGraph, MultiGraph, connected_components
@@ -75,7 +76,14 @@ def _color_connected(g: MultiGraph) -> EdgeColoring | Sentinel:
 
 
 def _find_two_cut(g: MultiGraph) -> tuple[int, int] | None:
+    """The first edge in id order that lies in a 2-cut of the bridgeless g,
+    with the smallest edge it pairs with.  Both edges of a 2-cut carry one
+    cut label, so only edges that share their label are tried."""
+    label = cut_labels(g)
+    shared = Counter(label.values())
     for e in g.edge_ids:
+        if shared[label[e]] < 2:
+            continue
         br = bridges_skipping(g, frozenset((e,)))
         if br:
             return e, br[0]

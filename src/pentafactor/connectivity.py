@@ -4,6 +4,7 @@ and cyclic edge connectivity."""
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from .errors import CertificationError, HasBridge, NotDefined
@@ -104,32 +105,92 @@ def _cut_record(g: MultiGraph, ids: frozenset[int]) -> EdgeCut:
     return EdgeCut(ids, frozenset(small), trivial, independent)
 
 
+# Fixed, so the labels, and with them the candidate order, repeat run to run.
+_LABEL_SEED = 0x5C0FFEE
+
+
+def cut_labels(g: MultiGraph) -> dict[int, int]:
+    """A 64-bit cycle-space label per edge id: the labels of every edge-cut
+    of g XOR to 0.
+
+    Each non-tree edge of a DFS spanning forest draws a random label, and each
+    tree edge gets the XOR of the labels of the non-tree edges whose
+    fundamental cycles cross it.  A cut meets every circuit in an even number
+    of edges, so its labels cancel; a set of edges that is no cut XORs to 0
+    only by a random collision.  The generator is seeded per call, so the
+    labels of one graph never change.
+    """
+    rng = random.Random(_LABEL_SEED)
+    label: dict[int, int] = {}
+    parent_edge: dict[int, int] = {}
+    acc: dict[int, int] = {}  # per vertex: XOR of its non-tree edge labels
+    order: list[int] = []
+    for root in g.vertices:
+        if root in acc:
+            continue
+        acc[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for e in g.incident(v):
+                if e in label or e == parent_edge.get(v):
+                    continue
+                w = g.other_end(e, v)
+                if w in acc:
+                    r = label[e] = rng.getrandbits(64)
+                    acc[v] ^= r
+                    acc[w] ^= r
+                else:
+                    acc[w] = 0
+                    parent_edge[w] = e
+                    stack.append(w)
+    # Children come after their parent in ``order``: fold subtrees upwards.
+    for v in reversed(order):
+        e = parent_edge.get(v)
+        if e is not None:
+            label[e] = acc[v]
+            acc[g.other_end(e, v)] ^= acc[v]
+    return label
+
+
 def small_cuts(g: MultiGraph, k: int) -> list[EdgeCut]:
     """All minimal edge-cuts of size <= k (k in {2, 3}) of a bridgeless graph.
 
-    A pair {e, f} is a 2-cut iff f is a bridge of g - e; triples are found the
-    same way one level deeper and kept only when no pair inside them already
-    disconnects.
+    Candidates come from the cycle-space labels of ``cut_labels``
+    (Pritchard & Thurimella, *Fast computation of small cuts via cycle space
+    sampling*, ACM TALG 2011): a 2-cut is a pair of equal labels and a 3-cut
+    a triple that XORs to 0.  Every cut is a candidate, and one bridge pass
+    confirms each: a pair {e, f} is a 2-cut iff f is a bridge of g - e, and
+    a triple iff h is a bridge of g - {e, f} and no pair inside it is a 2-cut.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if bridges(g):
         raise HasBridge("small_cuts requires a bridgeless graph")
-    ids = list(g.edge_ids)
+    label = cut_labels(g)
+    groups: dict[int, list[int]] = {}
+    for e in g.edge_ids:
+        groups.setdefault(label[e], []).append(e)
     pair_cuts: set[frozenset[int]] = set()
-    for e in ids:
-        for f in bridges_skipping(g, frozenset((e,))) or ():
-            pair_cuts.add(frozenset((e, f)))
+    for group in groups.values():
+        # The last edge's 2-cuts all pair it with an earlier edge of the group.
+        for e in group[:-1]:
+            for f in bridges_skipping(g, frozenset((e,))) or ():
+                pair_cuts.add(frozenset((e, f)))
     cuts = set(pair_cuts)
     if k == 3:
-        for e, f in itertools.combinations(ids, 2):
-            if frozenset((e, f)) in pair_cuts:
-                continue
-            for h in bridges_skipping(g, frozenset((e, f))) or ():
-                triple = frozenset((e, f, h))
-                if any(frozenset(p) in pair_cuts for p in itertools.combinations(triple, 2)):
+        ids = list(g.edge_ids)
+        for i, e in enumerate(ids):
+            for f in ids[i + 1:]:
+                hs = [h for h in groups.get(label[e] ^ label[f], ()) if h > f]
+                if not hs or frozenset((e, f)) in pair_cuts:
                     continue
-                cuts.add(triple)
+                br = bridges_skipping(g, frozenset((e, f))) or ()
+                for h in hs:
+                    if h in br and frozenset((e, h)) not in pair_cuts \
+                            and frozenset((f, h)) not in pair_cuts:
+                        cuts.add(frozenset((e, f, h)))
     records = [_cut_record(g, c) for c in cuts]
     records.sort(key=lambda c: (c.size, tuple(sorted(c.edge_ids))))
     return records

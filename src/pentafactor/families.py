@@ -57,8 +57,8 @@ def gen_chain_family(k: int) -> CubicGraph:
             prev_out = off + 1
         edges.append((prev_out, hub_v))
     g = CubicGraph(edges)
-    assert g.n == 30 * k + 2
-    assert not bridges(g)
+    if g.n != 30 * k + 2 or bridges(g):
+        raise ConstructionFailed(f"chain family k={k} is not a bridgeless graph on 30k+2 vertices")
     return g
 
 
@@ -101,7 +101,8 @@ def gen_p3_ring(copies: int) -> CubicGraph:
         if bridges(g):
             continue
         if not small_cuts(g, 2):
-            assert g.n == 9 * copies
+            if g.n != 9 * copies:
+                raise ConstructionFailed(f"P3 ring has {g.n} vertices, not {9 * copies}")
             return g
     raise ConstructionFailed(f"no 2-cut-free wiring found for {copies} copies")
 

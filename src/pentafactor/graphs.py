@@ -123,8 +123,8 @@ class CubicGraph(MultiGraph):
         bad = [v for v in self.vertices if self.degree(v) != 3]
         if bad:
             raise NotCubic(f"vertices with degree != 3: {bad[:5]}")
-        # 3n = 2m forces n even; assert rather than re-derive.
-        assert self.n % 2 == 0
+        if self.n % 2:  # 3n = 2m forces n even
+            raise NotCubic(f"odd vertex count {self.n}")
 
 
 class PatternGraph(MultiGraph):
@@ -186,7 +186,7 @@ class Circuit:
             raise ValueError("circuit needs aligned sequences of length >= 2")
         if len(set(vs)) != len(vs) or len(set(es)) != len(es):
             raise ValueError("circuit must not repeat vertices or edges")
-        best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        best = (vs, es)
         k = len(vs)
         for seq_v, seq_e in ((vs, es), _reverse_walk(vs, es)):
             for r in range(k):
@@ -194,9 +194,8 @@ class Circuit:
                     seq_v[r:] + seq_v[:r],
                     seq_e[r:] + seq_e[:r],
                 )
-                if best is None or cand < best:
+                if cand < best:
                     best = cand
-        assert best is not None
         return cls(*best)
 
 

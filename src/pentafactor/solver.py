@@ -23,11 +23,11 @@ from operator import attrgetter
 from typing import Any, Callable
 
 from .coloring import UNCOLORABLE, even_two_factor_from_coloring, three_edge_color
-from .connectivity import bridges
+from .connectivity import bridges, small_cuts
 from .errors import CertificationError, HasBridge, NoPerfectMatching
 from .factors import TwoFactor, complement_two_factor, two_factor_from_edges
 from .formats import cubicmg_encode, parse_graph, serialize_graph
-from .graphs import CubicGraph, MultiGraph, girth, is_petersen
+from .graphs import CubicGraph, MultiGraph, girth, is_connected, is_petersen
 from .matching import (
     WeightVector,
     enumerate_perfect_matchings,
@@ -455,16 +455,12 @@ def solve_oddness(g: CubicGraph) -> tuple[TwoFactor, Certificate]:
 
 def nontrivial_certificate(g: CubicGraph) -> tuple[TwoFactor, Certificate] | None:
     """The n/10 certificate for cyclically 4-edge-connected girth-5 inputs,
-    or None when the preconditions do not hold."""
-    from .connectivity import cyclic_edge_connectivity
-    from .errors import NotDefined
-
-    if is_petersen(g) or girth(g) != 5:
+    or None when the preconditions do not hold.  A connected bridgeless cubic
+    graph is cyclically 4-edge-connected iff it has no 2-cut and no
+    non-trivial 3-cut."""
+    if is_petersen(g) or girth(g) != 5 or not is_connected(g) or bridges(g):
         return None
-    try:
-        if cyclic_edge_connectivity(g) < 4:
-            return None
-    except NotDefined:
+    if any(c.size == 2 or not c.trivial for c in small_cuts(g, 3)):
         return None
     return _solve(g, _THEOREMS[THEOREM_NONTRIVIAL])
 

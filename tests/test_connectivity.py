@@ -9,11 +9,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pentafactor.coloring import _find_two_cut
+from pentafactor import coloring, connectivity
+from pentafactor.coloring import _find_two_cut, three_edge_color
 from pentafactor.connectivity import (
     _cut_record,
     bridges,
     bridges_skipping,
+    cut_labels,
     cyclic_edge_connectivity,
     edges_in_small_cuts,
     small_cuts,
@@ -233,6 +235,33 @@ def test_small_cuts_match_bridge_pass(name):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_small_cuts_match_bridge_pass_relabelled(name, seed):
     assert_cuts_match_bridge_pass(relabeled(CUT_HOSTS[name](), seed))
+
+
+def test_label_collisions_are_rejected(monkeypatch):
+    # Masking every label to its low 2 bits is linear, so each cut still XORs
+    # to 0, but most pairs and triples now collide: the bridge pass that
+    # confirms a candidate must reject every false one.
+    graphs = [gen_chain_family(1), gen_p3_ring(4), *BRIDGELESS_CENSUS14[::11][:50]]
+    expected = [(small_cuts(g, 2), small_cuts(g, 3), three_edge_color(g)) for g in graphs]
+
+    def low_bits(g):
+        return {e: label & 3 for e, label in cut_labels(g).items()}
+
+    monkeypatch.setattr(connectivity, "cut_labels", low_bits)
+    monkeypatch.setattr(coloring, "cut_labels", low_bits)
+    assert [(small_cuts(g, 2), small_cuts(g, 3), three_edge_color(g)) for g in graphs] == expected
+
+
+def test_cut_labels_cancel_on_every_cut():
+    for g in (gen_chain_family(1), gen_p3_ring(4), exceptional_22_host()):
+        label = cut_labels(g)
+        assert set(label) == set(g.edge_ids)
+        assert all(label[e] for e in g.edge_ids)  # bridgeless: no zero label
+        for cut in small_cuts(g, 3):
+            x = 0
+            for e in cut.edge_ids:
+                x ^= label[e]
+            assert x == 0
 
 
 def test_cyclic_connectivity_below_four_iff_small_cut():

@@ -1,7 +1,7 @@
-"""The certified pipeline guards its invariants with typed errors.
+"""The package guards its invariants with typed errors.
 
 An ``assert`` is stripped by ``python -O``, so a broken invariant would pass
-silently there; the modules a certificate depends on must not use one.
+silently there; no module of the package uses one.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from pathlib import Path
 
 import pytest
 
-CERTIFIED_MODULES = ("coloring", "connectivity", "factors", "matching", "patterns",
-                     "reductions", "solver")
 SRC = Path(__file__).resolve().parent.parent / "src" / "pentafactor"
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 
-@pytest.mark.parametrize("module", CERTIFIED_MODULES)
+@pytest.mark.parametrize("module", MODULES)
 def test_no_assert_statements(module):
     path = SRC / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -7,6 +7,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -363,6 +364,13 @@ def test_nontrivial_certificate(petersen):
         assert cert.theorem == "T4-nontrivial"
         assert cert.bound_value == Fraction(g.n, 10)
         assert cert.achieved <= cert.bound_floor
+
+
+def test_nontrivial_certificate_needs_a_connected_host():
+    # Two dodecahedra: girth 5 and no small cut, but not connected.
+    dodeca = sorted(nx.dodecahedral_graph().edges())
+    g = CubicGraph(dodeca + [(u + 20, v + 20) for u, v in dodeca])
+    assert nontrivial_certificate(g) is None
 
 
 def test_exceptional_22_host_end_to_end():
