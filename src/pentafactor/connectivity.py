@@ -113,8 +113,8 @@ def cut_labels(g: MultiGraph) -> dict[int, int]:
     """A 64-bit cycle-space label per edge id: the labels of every edge-cut
     of g XOR to 0.
 
-    Each non-tree edge of a DFS spanning forest draws a random label, and each
-    tree edge gets the XOR of the labels of the non-tree edges whose
+    Each non-tree edge of a spanning forest, grown depth-first from
+    ``g.vertices[0]``, draws a random label, and each tree edge gets the XOR of the labels of the non-tree edges whose
     fundamental cycles cross it.  A cut meets every circuit in an even number
     of edges, so its labels cancel; a set of edges that is no cut XORs to 0
     only by a random collision.  The generator is seeded per call, so the
@@ -183,12 +183,13 @@ def small_cuts(g: MultiGraph, k: int) -> list[EdgeCut]:
         ids = list(g.edge_ids)
         for i, e in enumerate(ids):
             for f in ids[i + 1:]:
-                hs = [h for h in groups.get(label[e] ^ label[f], ()) if h > f]
-                if not hs or frozenset((e, f)) in pair_cuts:
+                # Groups are in id order: visit each triple e < f < h once.
+                group = groups.get(label[e] ^ label[f])
+                if group is None or group[-1] <= f or frozenset((e, f)) in pair_cuts:
                     continue
                 br = bridges_skipping(g, frozenset((e, f))) or ()
-                for h in hs:
-                    if h in br and frozenset((e, h)) not in pair_cuts \
+                for h in group:
+                    if h > f and h in br and frozenset((e, h)) not in pair_cuts \
                             and frozenset((f, h)) not in pair_cuts:
                         cuts.add(frozenset((e, f, h)))
     records = [_cut_record(g, c) for c in cuts]
