@@ -114,11 +114,12 @@ def cut_labels(g: MultiGraph) -> dict[int, int]:
     of g XOR to 0.
 
     Each non-tree edge of a spanning forest, grown depth-first from
-    ``g.vertices[0]``, draws a random label, and each tree edge gets the XOR of the labels of the non-tree edges whose
-    fundamental cycles cross it.  A cut meets every circuit in an even number
-    of edges, so its labels cancel; a set of edges that is no cut XORs to 0
-    only by a random collision.  The generator is seeded per call, so the
-    labels of one graph never change.
+    ``g.vertices[0]``, draws a random label, and each tree edge gets the XOR
+    of the labels of the non-tree edges whose fundamental cycles cross it.
+    A cut meets every circuit in an even number of edges, so its labels
+    cancel; a set of edges that is no cut XORs to 0 only by a random
+    collision.  The generator is seeded per call, so the labels of one graph
+    never change.
     """
     rng = random.Random(_LABEL_SEED)
     label: dict[int, int] = {}

@@ -58,7 +58,7 @@ def gen_chain_family(k: int) -> CubicGraph:
         edges.append((prev_out, hub_v))
     g = CubicGraph(edges)
     if g.n != 30 * k + 2 or bridges(g):
-        raise ConstructionFailed(f"chain family k={k} is not a bridgeless graph on 30k+2 vertices")
+        raise ConstructionFailed(f"chain family k={k}: not bridgeless on 30k+2 vertices")
     return g
 
 
