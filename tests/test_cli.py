@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from pentafactor.cli import main
 from pentafactor.families import gen_chain_family, gen_petersen
 from pentafactor.formats import serialize_graph
+
+from tests.hosts import exceptional_22_host
 
 
 @pytest.fixture
@@ -79,6 +82,30 @@ def test_patterns_json(capsys, chain_file, tmp_path):
     kinds = [o["kind"] for o in payload["occurrences"]]
     assert kinds.count("P1") == 3
     assert all({"kind", "vertices", "boundary", "class_tag"} <= set(o) for o in payload["occurrences"])
+
+
+# (input, mode): (summary line, first 16 hex digits of the sha256 of the
+# --json file).
+PATTERNS_PINS = {
+    ("chain:1", "oddness"): (
+        "patterns n=32 P1=3 P2=0 P3=6 classified: p1=3 p2=0 p3=0", "2ebb429f23d38a75"),
+    ("exception-22", "oddness"): (
+        "patterns n=22 P1=2 P2=2 P3=4 classified: p1=0 p2=2 p3=0", "ac5875639dad8c40"),
+    ("exception-22", "fivecyc"): (
+        "patterns n=22 P1=2 P2=2 P3=4 classified: p1=2 p2=0 p3=0", "e2fa99a17d2cfd15"),
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(PATTERNS_PINS))
+def test_patterns_json_pinned(capsys, tmp_path, name, mode):
+    g = {"chain:1": lambda: gen_chain_family(1), "exception-22": exceptional_22_host}[name]()
+    src = tmp_path / "in.g6"
+    src.write_text(serialize_graph(g) + "\n")
+    out_path = tmp_path / "patterns.json"
+    assert main(["patterns", str(src), "--mode", mode, "--json", str(out_path)]) == 0
+    line, digest = PATTERNS_PINS[name, mode]
+    assert capsys.readouterr().out.splitlines()[0] == line
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest()[:16] == digest
 
 
 def test_emit_trace_in_bundle(capsys, tmp_path):

@@ -2,20 +2,36 @@
 
 from __future__ import annotations
 
+import itertools
+from pathlib import Path
+from typing import Iterable
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentafactor.errors import CertificationError, OverlapViolation, UnclassifiableP3b
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
-from pentafactor.graphs import MultiGraph, PETERSEN_EDGES, enumerate_circuits_up_to
+from pentafactor.formats import parse_graph
+from pentafactor.graphs import (
+    CubicGraph,
+    MultiGraph,
+    PETERSEN_EDGES,
+    enumerate_circuits_up_to,
+    girth,
+)
 from pentafactor.patterns import (
+    KINDS,
     P3A,
     P3B1,
+    PatternOccurrence,
     classify_occurrences,
     find_occurrences,
     pattern_graph,
     take_census,
 )
+
+from tests.hosts import exceptional_22_host, p2_ring, relabeled, two_cycle_fixture
 
 
 def nx_occurrences(host, kind) -> set[frozenset]:
@@ -250,3 +266,162 @@ def test_hub_host_selects_admissible_pair():
     for occ in census.p3:
         assert occ.class_tag == P3A
         assert occ.E_S and occ.E_S <= set(occ.boundary)
+
+
+def subgraph_search_occurrences(g, kind) -> list[PatternOccurrence]:
+    """Reference: the general backtracking subgraph search, one pattern at a
+    time.  Every embedding of the pattern is tried, so each edge set is
+    reached |Aut(pattern)| times and deduplicated."""
+    pat = pattern_graph(kind)
+    order = _search_order(pat)
+    found: dict[frozenset[int], PatternOccurrence] = {}
+
+    host_vs = g.vertices
+
+    def extend(i: int, vmap: dict[int, int], used_v: set[int],
+               emap: dict[int, int], used_e: set[int]) -> None:
+        if i == len(order):
+            eset = frozenset(used_e)
+            if eset not in found:
+                found[eset] = PatternOccurrence(
+                    kind=kind,
+                    vertex_map=tuple(sorted(vmap.items())),
+                    edge_set=eset,
+                    boundary=tuple(sorted(g.boundary_edge_ids(set(vmap.values())))),
+                )
+            return
+        p = order[i]
+        anchors = [q for q in pat.neighbors(p) if q in vmap]
+        if not anchors:
+            candidates: Iterable[int] = host_vs
+        else:
+            candidates = g.neighbors(vmap[anchors[0]])
+        for h in candidates:
+            if h in used_v:
+                continue
+            # Each mapped pattern edge at p needs its own free host edge.
+            ok = True
+            pending: list[tuple[int, tuple[int, ...]]] = []
+            for pe in pat.incident(p):
+                q = pat.other_end(pe, p)
+                if q not in vmap:
+                    continue
+                options = tuple(e for e in g.edges_between(h, vmap[q]) if e not in used_e)
+                if not options:
+                    ok = False
+                    break
+                pending.append((pe, options))
+            if not ok:
+                continue
+            vmap[p] = h
+            used_v.add(h)
+            for combo in itertools.product(*(opts for _, opts in pending)):
+                if len(set(combo)) != len(combo):
+                    continue
+                for (pe, _), he in zip(pending, combo):
+                    emap[pe] = he
+                    used_e.add(he)
+                extend(i + 1, vmap, used_v, emap, used_e)
+                for (pe, _), he in zip(pending, combo):
+                    del emap[pe]
+                    used_e.discard(he)
+            del vmap[p]
+            used_v.discard(h)
+
+    extend(0, {}, set(), {}, set())
+    return sorted(found.values(), key=lambda o: tuple(sorted(o.edge_set)))
+
+
+def _search_order(pat) -> list[int]:
+    """Connected search order anchored at a degree-2 pattern vertex."""
+    start = pat.degree2_vertices[0]
+    order = [start]
+    seen = {start}
+    while len(order) < pat.n:
+        best = None
+        for v in pat.vertices:
+            if v in seen:
+                continue
+            links = sum(1 for q in pat.neighbors(v) if q in seen)
+            if links == 0:
+                continue
+            key = (-links, -pat.degree(v), v)
+            if best is None or key < best[0]:
+                best = (key, v)
+        order.append(best[1])
+        seen.add(best[1])
+    return order
+
+
+SEARCH_HOSTS = {
+    "petersen": gen_petersen,
+    "k33": lambda: CubicGraph([(a, b) for a in range(3) for b in range(3, 6)]),
+    "chain:1": lambda: gen_chain_family(1),
+    "chain:2": lambda: gen_chain_family(2),
+    "p3ring:4": lambda: gen_p3_ring(4),
+    "p2ring:3": lambda: p2_ring(3),
+    "p2ring:4": lambda: p2_ring(4),
+    "exception-22": exceptional_22_host,
+    # Petersen minus (0, 1), plus 0-10, two parallel 10-11 edges and 11-1.
+    "multigraph-p2": two_cycle_fixture,
+}
+
+CENSUS14_GIRTH4 = [
+    g for g in (
+        parse_graph(line)
+        for line in (Path(__file__).parent / "data" / "cubic_simple_connected_14.g6")
+        .read_text().splitlines()
+        if line
+    )
+    if girth(g) >= 4
+]
+
+
+def assert_embeddings(g, occs):
+    """Each occurrence's vertex map embeds its pattern: injective, its
+    pattern edges land on distinct host edges that make up the edge set,
+    and the boundary is the host's."""
+    for o in occs:
+        pat = pattern_graph(o.kind)
+        vmap = dict(o.vertex_map)
+        assert sorted(vmap) == list(pat.vertices)
+        assert len(set(vmap.values())) == pat.n
+        assert all(g.has_vertex(h) for h in vmap.values())
+        assert len(o.edge_set) == pat.m
+        for _, (u, v) in pat.edge_items():
+            assert len(o.edge_set & set(g.edges_between(vmap[u], vmap[v]))) == 1
+        assert o.boundary == tuple(sorted(g.boundary_edge_ids(o.host_vertices)))
+
+
+def assert_search_matches_reference(g):
+    for kind in KINDS:
+        mine = find_occurrences(g, kind)
+        ref = subgraph_search_occurrences(g, kind)
+        assert [o.edge_set for o in mine] == [o.edge_set for o in ref], kind
+        assert [o.boundary for o in mine] == [o.boundary for o in ref], kind
+        assert {o.kind for o in mine} <= {kind}
+        assert_embeddings(g, mine)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_HOSTS))
+def test_find_occurrences_matches_subgraph_search(name):
+    assert_search_matches_reference(SEARCH_HOSTS[name]())
+
+
+def test_find_occurrences_matches_subgraph_search_on_census14():
+    assert len(CENSUS14_GIRTH4) == 141
+    for g in CENSUS14_GIRTH4:
+        assert_search_matches_reference(g)
+
+
+@pytest.mark.parametrize("name", ["chain:1", "p3ring:4", "p2ring:3"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_find_occurrences_matches_subgraph_search_relabelled(name, seed):
+    assert_search_matches_reference(relabeled(SEARCH_HOSTS[name](), seed))
+
+
+def test_multigraph_p2_host_counts():
+    g = two_cycle_fixture()
+    assert [len(subgraph_search_occurrences(g, kind)) for kind in KINDS] == [1, 2, 2]
+    assert [len(find_occurrences(g, kind)) for kind in KINDS] == [1, 2, 2]
