@@ -147,10 +147,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_patterns(args) -> int:
-    from .patterns import classify_occurrences, find_occurrences
+    from .patterns import KINDS, classify_occurrences, find_occurrences
 
     g = _single_graph(args.input, args.format)
-    occ = {kind: find_occurrences(g, kind) for kind in ("P1", "P2", "P3")}
+    found = find_occurrences(g, *KINDS)
+    occ = {kind: [o for o in found if o.kind == kind] for kind in KINDS}
     census = classify_occurrences(
         g, occ["P1"], occ["P2"], occ["P3"], mode=args.mode, enforce_disjoint=False
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CertificationError, OverlapViolation, UnclassifiableP3b
 from .graphs import Circuit, MultiGraph, PatternGraph, PETERSEN_EDGES, enumerate_circuits_up_to
@@ -69,90 +69,125 @@ class PatternOccurrence:
         return tuple(h for p, h in self.vertex_map if pat.degree(p) == 2)
 
 
-def find_occurrences(g: MultiGraph, kind: str) -> list[PatternOccurrence]:
-    """All subgraph embeddings of the pattern, deduplicated by host edge set."""
-    pat = pattern_graph(kind)
-    order = _search_order(pat)
-    found: dict[frozenset[int], PatternOccurrence] = {}
+# The P3 search places pattern vertices in this order; each one after the
+# first is drawn from the host neighbours of its first placed neighbour's
+# image.  Aut(P3), of order 12, permutes the degree-2 vertices 1, 4, 5 as S3
+# and holds one more involution, (2 6)(3 9)(7 8), that fixes them.  Each
+# vertex in _P3_ABOVE must have a larger host image than the vertex it
+# names, which breaks all of Aut(P3): every P3 vertex image is reached once.
+_P3_ORDER = (1, 2, 6, 3, 7, 9, 8, 4, 5)
+_P3_ABOVE = {6: 2, 4: 1, 5: 4}
 
-    pverts = pat.vertices
-    host_vs = g.vertices
+# For each degree-2 vertex c of P3, an automorphism of P3 that swaps 1 and c.
+# An extension that attaches vertex 0 of P1 or P2 to the two degree-2 images
+# other than c's maps the pattern through it, so pattern vertex 1 lands on c.
+_P3_SWAP = {
+    1: {v: v for v in range(1, 10)},
+    4: {1: 4, 2: 3, 3: 2, 4: 1, 5: 5, 6: 9, 7: 8, 8: 7, 9: 6},
+    5: {1: 5, 2: 8, 3: 3, 4: 4, 5: 1, 6: 7, 7: 6, 8: 2, 9: 9},
+}
 
-    def extend(i: int, vmap: dict[int, int], used_v: set[int],
-               emap: dict[int, int], used_e: set[int]) -> None:
-        if i == len(order):
-            eset = frozenset(used_e)
-            if eset not in found:
-                found[eset] = PatternOccurrence(
-                    kind=kind,
-                    vertex_map=tuple(sorted(vmap.items())),
-                    edge_set=eset,
-                    boundary=tuple(sorted(g.boundary_edge_ids(set(vmap.values())))),
-                )
+
+@functools.cache
+def _p3_plan() -> tuple[tuple[int, int, tuple[int, ...], int | None], ...]:
+    """(pattern vertex, anchor, other placed neighbours, must exceed) per step
+    of the P3 search after vertex 1."""
+    pat = pattern_graph("P3")
+    plan = []
+    for i, p in enumerate(_P3_ORDER[1:], 1):
+        placed = [q for q in _P3_ORDER[:i] if pat.has_edge(p, q)]
+        plan.append((p, placed[0], tuple(placed[1:]), _P3_ABOVE.get(p)))
+    return tuple(plan)
+
+
+def find_occurrences(g: MultiGraph, *kinds: str) -> list[PatternOccurrence]:
+    """Every occurrence of the given kinds, deduplicated by host edge set and
+    sorted by (kind, edge set).
+
+    One P3 search serves all three kinds.  P1 minus vertex 0 is P3, so a P1
+    occurrence is a P3 occurrence plus an outside vertex x joined to two of
+    its degree-2 images.  P2 minus {0, 10, 11} is P3, so a P2 occurrence adds
+    to that x a path x-y-z of fresh vertices whose end z is joined to the
+    third degree-2 image.
+    """
+    if not kinds or not set(kinds) <= set(KINDS):
+        raise ValueError(f"pattern kinds must be among {KINDS}, got {kinds!r}")
+    want_p1, want_p2 = "P1" in kinds, "P2" in kinds
+    # links[v][w]: ids of the edges between v and w.
+    links: dict[int, dict[int, list[int]]] = {v: {} for v in g.vertices}
+    for e, (u, v) in g.edge_items():
+        links[u].setdefault(v, []).append(e)
+        links[v].setdefault(u, []).append(e)
+    found: dict[str, dict[frozenset[int], PatternOccurrence]] = {k: {} for k in KINDS}
+
+    def add(kind: str, vmap: dict[int, int], eset: frozenset[int]) -> None:
+        if eset in found[kind]:
             return
-        p = order[i]
-        anchors = [q for q in pat.neighbors(p) if q in vmap]
-        if not anchors:
-            candidates: Iterable[int] = host_vs
-        else:
-            candidates = g.neighbors(vmap[anchors[0]])
-        for h in candidates:
-            if h in used_v:
-                continue
-            # Each mapped pattern edge at p needs its own free host edge.
-            ok = True
-            pending: list[tuple[int, tuple[int, ...]]] = []
-            for pe in pat.incident(p):
-                q = pat.other_end(pe, p)
-                if q not in vmap:
+        inside = set(vmap.values())
+        boundary = sorted(e for v in inside for w, es in links[v].items()
+                          if w not in inside for e in es)
+        found[kind][eset] = PatternOccurrence(
+            kind=kind, vertex_map=tuple(sorted(vmap.items())),
+            edge_set=eset, boundary=tuple(boundary))
+
+    def extend(phi: dict[int, int], e3: frozenset[int]) -> None:
+        inside = set(phi.values())
+        for c in (1, 4, 5):
+            a, b = (d for d in (1, 4, 5) if d != c)
+            at_a, at_b, dc = links[phi[a]], links[phi[b]], phi[c]
+            base = {p: phi[q] for p, q in _P3_SWAP[c].items()}
+            for x, xa in at_a.items():
+                if x in inside or x not in at_b:
                     continue
-                options = tuple(e for e in g.edges_between(h, vmap[q]) if e not in used_e)
-                if not options:
-                    ok = False
-                    break
-                pending.append((pe, options))
-            if not ok:
-                continue
-            vmap[p] = h
-            used_v.add(h)
-            for combo in itertools.product(*(opts for _, opts in pending)):
-                if len(set(combo)) != len(combo):
-                    continue
-                for (pe, _), he in zip(pending, combo):
-                    emap[pe] = he
-                    used_e.add(he)
-                extend(i + 1, vmap, used_v, emap, used_e)
-                for (pe, _), he in zip(pending, combo):
-                    del emap[pe]
-                    used_e.discard(he)
-            del vmap[p]
-            used_v.discard(h)
+                for pair in itertools.product(xa, at_b[x]):
+                    e1 = e3.union(pair)
+                    if want_p1:
+                        add("P1", {**base, 0: x}, e1)
+                    if not want_p2:
+                        continue
+                    for y, xy in links[x].items():
+                        if y in inside:
+                            continue
+                        for z, yz in links[y].items():
+                            if z in inside or z == x or dc not in links[z]:
+                                continue
+                            for path in itertools.product(xy, yz, links[z][dc]):
+                                add("P2", {**base, 0: x, 10: y, 11: z}, e1.union(path))
 
-    extend(0, {}, set(), {}, set())
-    return sorted(found.values(), key=lambda o: tuple(sorted(o.edge_set)))
+    p3_edges = [uv for _, uv in pattern_graph("P3").edge_items()]
+    plan = _p3_plan()
+    phi: dict[int, int] = {}
+    used: set[int] = set()
 
+    def place(i: int) -> None:
+        if i == len(plan):
+            for combo in itertools.product(*(links[phi[u]][phi[v]] for u, v in p3_edges)):
+                e3 = frozenset(combo)
+                add("P3", phi, e3)
+                if want_p1 or want_p2:
+                    extend(phi, e3)
+            return
+        p, anchor, checks, above = plan[i]
+        floor = phi[above] if above is not None else -1
+        for w in links[phi[anchor]]:
+            if w <= floor or w in used or any(phi[q] not in links[w] for q in checks):
+                continue
+            phi[p] = w
+            used.add(w)
+            place(i + 1)
+            used.discard(w)
+        phi.pop(p, None)
 
-def _search_order(pat: PatternGraph) -> list[int]:
-    """Connected search order anchored at a degree-2 pattern vertex."""
-    start = pat.degree2_vertices[0]
-    order = [start]
-    seen = {start}
-    while len(order) < pat.n:
-        best = None
-        for v in pat.vertices:
-            if v in seen:
-                continue
-            links = sum(1 for q in pat.neighbors(v) if q in seen)
-            if links == 0:
-                continue
-            key = (-links, -pat.degree(v), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        if best is None:
-            raise CertificationError("pattern must be connected")
-        order.append(best[1])
-        seen.add(best[1])
-    return order
+    for h in g.vertices:
+        phi[_P3_ORDER[0]] = h
+        used.add(h)
+        place(0)
+        used.discard(h)
+    return [
+        occ
+        for kind in KINDS if kind in kinds
+        for occ in sorted(found[kind].values(), key=lambda o: tuple(sorted(o.edge_set)))
+    ]
 
 
 @dataclass(frozen=True)
@@ -313,11 +348,10 @@ def take_census(g: MultiGraph, mode: str) -> Census:
     (oddness) no classified occurrence.
     """
     oddness = mode == "oddness"
+    occs = find_occurrences(g, "P1", "P2", "P3") if oddness else find_occurrences(g, "P1", "P3")
     census = classify_occurrences(
         g,
-        find_occurrences(g, "P1"),
-        find_occurrences(g, "P2") if oddness else (),
-        find_occurrences(g, "P3"),
+        *([o for o in occs if o.kind == kind] for kind in KINDS),
         mode=mode,
         enforce_disjoint=True,
     )

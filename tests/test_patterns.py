@@ -25,6 +25,7 @@ from pentafactor.patterns import (
     P3A,
     P3B1,
     PatternOccurrence,
+    _P3_SWAP,
     classify_occurrences,
     find_occurrences,
     pattern_graph,
@@ -394,13 +395,15 @@ def assert_embeddings(g, occs):
 
 
 def assert_search_matches_reference(g):
+    together = find_occurrences(g, *KINDS)
+    assert [o.kind for o in together] == sorted(o.kind for o in together)
+    assert_embeddings(g, together)
     for kind in KINDS:
-        mine = find_occurrences(g, kind)
         ref = subgraph_search_occurrences(g, kind)
-        assert [o.edge_set for o in mine] == [o.edge_set for o in ref], kind
-        assert [o.boundary for o in mine] == [o.boundary for o in ref], kind
-        assert {o.kind for o in mine} <= {kind}
-        assert_embeddings(g, mine)
+        for mine in (find_occurrences(g, kind), [o for o in together if o.kind == kind]):
+            assert [o.kind for o in mine] == [kind] * len(mine)
+            assert [o.edge_set for o in mine] == [o.edge_set for o in ref], kind
+            assert [o.boundary for o in mine] == [o.boundary for o in ref], kind
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_HOSTS))
@@ -425,3 +428,19 @@ def test_multigraph_p2_host_counts():
     g = two_cycle_fixture()
     assert [len(subgraph_search_occurrences(g, kind)) for kind in KINDS] == [1, 2, 2]
     assert [len(find_occurrences(g, kind)) for kind in KINDS] == [1, 2, 2]
+
+
+def test_find_occurrences_needs_known_kinds(petersen):
+    with pytest.raises(ValueError):
+        find_occurrences(petersen)
+    with pytest.raises(ValueError):
+        find_occurrences(petersen, "P1", "P4")
+
+
+def test_p3_swaps_are_automorphisms():
+    pat = pattern_graph("P3")
+    edges = {frozenset(uv) for _, uv in pat.edge_items()}
+    for c, swap in _P3_SWAP.items():
+        assert swap[1] == c and swap[c] == 1
+        assert sorted(swap.values()) == list(pat.vertices)
+        assert {frozenset((swap[u], swap[v])) for u, v in map(tuple, edges)} == edges
