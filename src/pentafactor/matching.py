@@ -15,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-import networkx as nx
-
 from .errors import CapExceeded, NoPerfectMatching
 from .graphs import MultiGraph
 
@@ -54,6 +52,8 @@ def min_weight_perfect_matching(
     mr = len(rank)
     wmax = max((weights.get(e, 0) for e in candidates.values()), default=0)
     scale = 1 << mr
+    import networkx as nx  # deferred: most of `import pentafactor` otherwise
+
     gx = nx.Graph()
     gx.add_nodes_from(g.vertices)
     for pair, eid in sorted(candidates.items()):
@@ -137,6 +137,8 @@ def has_two_factor(g: MultiGraph, removed_vertices: frozenset[int] = frozenset()
             kept_edges.append(eid)
     if any(len(inc[v]) < 2 for v in keep):
         return False
+    import networkx as nx  # deferred, as in min_weight_perfect_matching
+
     gx = nx.Graph()
     for v in keep:
         d = len(inc[v])

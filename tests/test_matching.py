@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +137,16 @@ def test_two_factor_existence_matches_matchings(petersen, cube):
         for c in enumerate_circuits_up_to(g, 6):
             in_some_factor = any(c.edge_set <= f.edge_ids for f in factors)
             assert in_some_factor == has_two_factor(g, c.vertex_set)
+
+
+def test_import_defers_networkx():
+    # networkx is most of the package's import time; only the two blossom
+    # calls need it, so they import it on first use.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pentafactor; print('networkx' in sys.modules)"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
