@@ -365,6 +365,10 @@ SEARCH_HOSTS = {
     "exception-22": exceptional_22_host,
     # Petersen minus (0, 1), plus 0-10, two parallel 10-11 edges and 11-1.
     "multigraph-p2": two_cycle_fixture,
+    # Not cubic: outside the P3 occurrence Petersen minus 0, vertex 0 is
+    # joined to all three degree-2 images and to a vertex whose only
+    # neighbour is 0, so a path x-y-z from x = 0 could close back on x.
+    "petersen+pendant": lambda: MultiGraph(list(PETERSEN_EDGES) + [(0, 10)]),
 }
 
 CENSUS14_GIRTH4 = [
