@@ -176,7 +176,6 @@ def find_occurrences(g: MultiGraph, *kinds: str) -> list[PatternOccurrence]:
             used.add(w)
             place(i + 1)
             used.discard(w)
-        phi.pop(p, None)
 
     for h in g.vertices:
         phi[_P3_ORDER[0]] = h
