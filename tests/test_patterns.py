@@ -25,7 +25,6 @@ from pentafactor.patterns import (
     P3A,
     P3B1,
     PatternOccurrence,
-    _P3_SWAP,
     classify_occurrences,
     find_occurrences,
     pattern_graph,
@@ -440,11 +439,3 @@ def test_find_occurrences_needs_known_kinds(petersen):
     with pytest.raises(ValueError):
         find_occurrences(petersen, "P1", "P4")
 
-
-def test_p3_swaps_are_automorphisms():
-    pat = pattern_graph("P3")
-    edges = {frozenset(uv) for _, uv in pat.edge_items()}
-    for c, swap in _P3_SWAP.items():
-        assert swap[1] == c and swap[c] == 1
-        assert sorted(swap.values()) == list(pat.vertices)
-        assert {frozenset((swap[u], swap[v])) for u, v in map(tuple, edges)} == edges
