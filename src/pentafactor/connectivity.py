@@ -85,7 +85,6 @@ class EdgeCut:
 
     edge_ids: frozenset[int]
     side_small: frozenset[int]
-    trivial: bool
     independent: bool
 
     @property
@@ -98,11 +97,8 @@ def _cut_record(g: MultiGraph, ids: frozenset[int]) -> EdgeCut:
     if len(comps) != 2:
         raise CertificationError("minimal cut must leave exactly two components")
     small = min(comps, key=lambda c: (len(c), tuple(sorted(c))))
-    endpoints = [g.endpoints(e) for e in ids]
-    verts = [v for uv in endpoints for v in uv]
-    independent = len(set(verts)) == 2 * len(ids)
-    trivial = len(ids) == 3 and len(small) == 1
-    return EdgeCut(ids, frozenset(small), trivial, independent)
+    endpoints = {v for e in ids for v in g.endpoints(e)}
+    return EdgeCut(ids, frozenset(small), len(endpoints) == 2 * len(ids))
 
 
 # Fixed, so the labels, and with them the candidate order, repeat run to run.
@@ -156,7 +152,8 @@ def cut_labels(g: MultiGraph) -> dict[int, int]:
 
 
 def small_cuts(g: MultiGraph, k: int) -> list[EdgeCut]:
-    """All minimal edge-cuts of size <= k (k in {2, 3}) of a bridgeless graph.
+    """All minimal edge-cuts of size <= k (k in {2, 3}) of a bridgeless
+    graph, except the trivial 3-cuts: the three edges at one vertex.
 
     Candidates come from the cycle-space labels of ``cut_labels``
     (Pritchard & Thurimella, *Fast computation of small cuts via cycle space
@@ -181,6 +178,7 @@ def small_cuts(g: MultiGraph, k: int) -> list[EdgeCut]:
                 pair_cuts.add(frozenset((e, f)))
     cuts = set(pair_cuts)
     if k == 3:
+        stars = {frozenset(g.incident(v)) for v in g.vertices}
         ids = list(g.edge_ids)
         for i, e in enumerate(ids):
             for f in ids[i + 1:]:
@@ -188,9 +186,13 @@ def small_cuts(g: MultiGraph, k: int) -> list[EdgeCut]:
                 group = groups.get(label[e] ^ label[f])
                 if group is None or group[-1] <= f or frozenset((e, f)) in pair_cuts:
                     continue
+                # A vertex star is a trivial 3-cut: no caller wants one.
+                hs = [h for h in group if h > f and frozenset((e, f, h)) not in stars]
+                if not hs:
+                    continue
                 br = bridges_skipping(g, frozenset((e, f))) or ()
-                for h in group:
-                    if h > f and h in br and frozenset((e, h)) not in pair_cuts \
+                for h in hs:
+                    if h in br and frozenset((e, h)) not in pair_cuts \
                             and frozenset((f, h)) not in pair_cuts:
                         cuts.add(frozenset((e, f, h)))
     records = [_cut_record(g, c) for c in cuts]

@@ -8,9 +8,10 @@ the 5-circuit count (checked per step; a failure raises CertificationError).
 Step order inside full_reduce mirrors the proofs' dependency order: 2-cycles,
 triangles, 4-circuits, then 2-cuts, then independent non-trivial 3-cuts,
 looping to a fixpoint.  Each step computes what it needs once: a girth step
-enumerates the circuits of length <= 4 in one pass, and a cut step colours
-candidate sides smallest first, stops at the first colourable one, and
-builds its reduction from that side's completion and colouring.
+enumerates the circuits of length <= 4 in one pass, and a cut step finds the
+2- and 3-cuts in one ``small_cuts`` scan, colours candidate sides smallest
+first, stops at the first colourable one, and builds its reduction from that
+side's completion and colouring.
 """
 
 from __future__ import annotations
@@ -274,35 +275,31 @@ _SHORT_CIRCUIT_STEPS = {2: _two_cycle_step, 3: _triangle_step, 4: _four_cycle_st
 # -- cut reduction ---------------------------------------------------------------
 
 
-def reduce_cut_step(g: CubicGraph, k: int) -> ReductionStep | Sentinel:
-    """Detach the smallest colorable side of a 2- or 3-edge-cut.
+def reduce_cut_step(g: CubicGraph) -> ReductionStep | Sentinel:
+    """Detach the smallest colorable side of a 2-edge-cut or, when no 2-cut
+    side is colorable and g has girth >= 5, of an independent non-trivial
+    3-edge-cut (the construction needs six distinct endpoints).
 
-    For k=3 only independent non-trivial minimal cuts qualify (the
-    construction needs six distinct endpoints) and the graph must already
-    have girth >= 5.  Sides are coloured smallest first (ties by sorted
-    vertex list) until one is colorable.  Returns NO_COLORABLE_CUT at the
-    fixpoint where every candidate cut separates two uncolorable sides.
+    One ``small_cuts`` scan serves both sizes.  Sides are coloured smallest
+    first (ties by sorted vertex list) until one is colorable.  Returns
+    NO_COLORABLE_CUT at the fixpoint where every candidate cut separates two
+    uncolorable sides.
     """
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    if bridges(g):
-        raise HasBridge("cut reduction requires a bridgeless graph")
-    if k == 3 and girth(g) < 5:
-        raise ValueError("3-cut reduction requires girth >= 5")
-    cuts = [c for c in small_cuts(g, k) if c.size == k]
-    if k == 3:
-        cuts = [c for c in cuts if c.independent and not c.trivial]
+    cuts = small_cuts(g, 3)
     all_vs = frozenset(g.vertices)
-    sides = [(side, tuple(sorted(cut.edge_ids)))
-             for cut in cuts for side in (cut.side_small, all_vs - cut.side_small)]
-    # A side fixes its cut, so the key is unique.
-    sides.sort(key=lambda s: (len(s[0]), sorted(s[0])))
-    for side, ids in sides:
-        completion = side_completion(g, side, ids)
-        col = three_edge_color(completion[0])
-        if col is not UNCOLORABLE:
-            build = _two_cut_step if k == 2 else _three_cut_step
-            return build(g, side, ids, completion, col)
+    for size, build in ((2, _two_cut_step), (3, _three_cut_step)):
+        if size == 3 and girth(g) < 5:
+            break
+        sides = [(side, tuple(sorted(cut.edge_ids)))
+                 for cut in cuts if cut.size == size and cut.independent
+                 for side in (cut.side_small, all_vs - cut.side_small)]
+        # A side fixes its cut, so the key is unique.
+        sides.sort(key=lambda s: (len(s[0]), sorted(s[0])))
+        for side, ids in sides:
+            completion = side_completion(g, side, ids)
+            col = three_edge_color(completion[0])
+            if col is not UNCOLORABLE:
+                return build(g, side, ids, completion, col)
     return NO_COLORABLE_CUT
 
 
@@ -376,9 +373,7 @@ def full_reduce(g: CubicGraph) -> ReductionTrace:
     steps: list[ReductionStep] = []
     cur = g
     while True:
-        step = reduce_girth_step(cur) or reduce_cut_step(cur, 2)
-        if not step and girth(cur) >= 5:
-            step = reduce_cut_step(cur, 3)
+        step = reduce_girth_step(cur) or reduce_cut_step(cur)
         if not step:
             break
         if step.post.n >= cur.n:

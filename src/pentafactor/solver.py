@@ -460,7 +460,7 @@ def nontrivial_certificate(g: CubicGraph) -> tuple[TwoFactor, Certificate] | Non
     non-trivial 3-cut."""
     if is_petersen(g) or girth(g) != 5 or not is_connected(g) or bridges(g):
         return None
-    if any(c.size == 2 or not c.trivial for c in small_cuts(g, 3)):
+    if small_cuts(g, 3):
         return None
     return _solve(g, _THEOREMS[THEOREM_NONTRIVIAL])
 

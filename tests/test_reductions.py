@@ -60,14 +60,15 @@ def test_girth_step_requires_bridgeless():
     bridged = CubicGraph(subdiv_k4 + [(u + 5, v + 5) for u, v in subdiv_k4] + [(4, 9)])
     with pytest.raises(HasBridge):
         reduce_girth_step(bridged)
+    with pytest.raises(HasBridge):  # raised by its small_cuts scan
+        reduce_cut_step(bridged)
 
 
 @pytest.mark.parametrize("kind,builder", ALL_FIXTURES)
 def test_first_step_kind(kind, builder):
     g = builder()
     if kind in ("TwoCut", "ThreeCut"):
-        k = 2 if kind == "TwoCut" else 3
-        step = reduce_cut_step(g, k)
+        step = reduce_cut_step(g)
         assert step is not NO_COLORABLE_CUT
     else:
         step = reduce_girth_step(g)
@@ -188,18 +189,19 @@ def test_chain_family_is_reduction_fixpoint():
 
 def test_cut_step_examples():
     g = gen_chain_family(1)
-    # Every 2-cut side contains a P1 block, so both sides are uncolorable.
-    assert reduce_cut_step(g, 2) is NO_COLORABLE_CUT
+    # Every 2-cut side contains a P1 block, so both sides are uncolorable,
+    # and so is every side of an independent non-trivial 3-cut.
+    assert reduce_cut_step(g) is NO_COLORABLE_CUT
 
     fix = two_cut_fixture()
-    step = reduce_cut_step(fix, 2)
+    step = reduce_cut_step(fix)
     assert step.kind == "TwoCut"
     assert step.post.n == fix.n - 16  # the 16-vertex gadget side is detached
     assert is_petersen(step.post)
 
 
-@pytest.mark.parametrize("builder,k", [(two_cut_fixture, 2), (three_cut_fixture, 3)])
-def test_cut_step_colours_each_side_once(monkeypatch, builder, k):
+@pytest.mark.parametrize("builder", [two_cut_fixture, three_cut_fixture])
+def test_cut_step_colours_each_side_once(monkeypatch, builder):
     # Sides are coloured smallest first until one is colourable; the step is
     # built from that colouring, so the chosen side is never recoloured.
     g = builder()
@@ -210,7 +212,7 @@ def test_cut_step_colours_each_side_once(monkeypatch, builder, k):
         return three_edge_color(h)
 
     monkeypatch.setattr(reductions, "three_edge_color", counting)
-    step = reduce_cut_step(g, k)
+    step = reduce_cut_step(g)
     chosen = frozenset(g.vertices) - frozenset(step.post.vertices)
     assert len(coloured) == len(set(coloured))
     assert coloured[-1] == chosen
@@ -249,15 +251,13 @@ def _side_completion(g, side, ids):
     exceptional_22_host,
 ])
 def test_generic_fixpoint_postconditions(builder):
-    # At the fixpoint, every 2-cut and every non-trivial 3-cut (independent
-    # or not) separates two uncolorable sides.
+    # At the fixpoint, every cut small_cuts reports, a 2-cut or a
+    # non-trivial 3-cut (independent or not), separates two uncolorable sides.
     trace = full_reduce(builder())
     reduced = trace.reduced
     assert trace.terminal_flag == "Generic"
     assert girth(reduced) >= 5
     for cut in small_cuts(reduced, 3):
-        if cut.size == 3 and cut.trivial:
-            continue
         all_vs = frozenset(reduced.vertices)
         for side in (cut.side_small, all_vs - cut.side_small):
             comp = _side_completion(reduced, side, tuple(sorted(cut.edge_ids)))
@@ -285,8 +285,27 @@ def test_reduction_steps_keep_connected(name):
 
 def test_three_cut_step_keeps_uncolorable_side():
     fix = three_cut_fixture()
-    step = reduce_cut_step(fix, 3)
+    step = reduce_cut_step(fix)
     assert step.kind == "ThreeCut"
     # The colorable Moebius-Kantor side detaches; Petersen remains.
     assert is_petersen(step.post)
     assert step.side_coloring is not None
+
+
+@pytest.mark.parametrize("builder", [
+    two_cut_fixture,
+    three_cut_fixture,
+    lambda: gen_chain_family(1),
+])
+def test_cut_step_scans_cuts_once(monkeypatch, builder):
+    # One small_cuts call serves the 2-cut and the 3-cut candidates, whether
+    # the step detaches a 2-cut side, a 3-cut side, or nothing.
+    calls = []
+
+    def counting(g, k):
+        calls.append(k)
+        return small_cuts(g, k)
+
+    monkeypatch.setattr(reductions, "small_cuts", counting)
+    reduce_cut_step(builder())
+    assert calls == [3]
