@@ -341,7 +341,7 @@ def _reduced_bundle(
 
 
 def _validated_input(g: CubicGraph) -> None:
-    if bridges(g):
+    if not is_connected(g) or bridges(g):
         raise HasBridge("solver requires a 2-edge-connected input")
 
 
@@ -367,7 +367,10 @@ def _solve(g: CubicGraph, row: _Theorem) -> tuple[TwoFactor, Certificate]:
     else:
         trace = full_reduce(g)
         reduced = trace.reduced
-        fields.update(reduced_n=reduced.n, trace_summary=tuple(trace.summary()))
+        # The normal form of ``Certificate.from_json``, so a certificate
+        # survives its JSON round trip.
+        summary = tuple(tuple(sorted(t.items())) for t in trace.summary())
+        fields.update(reduced_n=reduced.n, trace_summary=summary)
         if trace.terminal_flag == TERMINAL_PETERSEN:
             # Any lone Petersen factor has two 5-circuits, which can exceed the
             # bound for small hosts; lift all six and keep the best.

@@ -13,7 +13,7 @@ from .errors import CapExceeded, NotDefined, UnclassifiableP3b
 from .factors import complement_two_factor
 from .families import gen_chain_family, gen_p3_ring, gen_petersen, simple_cubic_census
 from .formats import parse_graph
-from .graphs import CubicGraph, girth
+from .graphs import CubicGraph, girth, is_connected
 from .matching import enumerate_perfect_matchings
 from .solver import FLAG_COLORABLE, graph_id, solve_5cyc, solve_oddness
 
@@ -81,22 +81,26 @@ class BatchReport:
 
 
 def parse_generator_spec(spec: str) -> list[CubicGraph]:
-    """Generator specs: petersen | chain:A[..B] | p3ring:A[..B] | census:N."""
+    """Generator specs: petersen | chain:A[..B] | p3ring:A[..B] | census:N.
+
+    A spec that yields no graph (an empty range, an odd ring size, an
+    argument to petersen) raises ValueError.
+    """
     name, _, arg = spec.partition(":")
-    if name == "petersen":
-        return [gen_petersen()]
     lo, _, hi = arg.partition("..")
-    if name == "chain":
-        lo_i = int(lo)
-        hi_i = int(hi) if hi else lo_i
-        return [gen_chain_family(k) for k in range(lo_i, hi_i + 1)]
-    if name == "p3ring":
-        lo_i = int(lo)
-        hi_i = int(hi) if hi else lo_i
-        return [gen_p3_ring(c) for c in range(lo_i, hi_i + 1) if c % 2 == 0]
-    if name == "census":
-        return simple_cubic_census(int(lo))
-    raise ValueError(f"unknown generator spec {spec!r}")
+    if name == "petersen" and not arg:
+        graphs = [gen_petersen()]
+    elif name in ("chain", "p3ring"):
+        ks = range(int(lo), int(hi or lo) + 1)
+        graphs = ([gen_chain_family(k) for k in ks] if name == "chain"
+                  else [gen_p3_ring(c) for c in ks if c % 2 == 0])
+    elif name == "census":
+        graphs = simple_cubic_census(int(lo))
+    else:
+        raise ValueError(f"unknown generator spec {spec!r}")
+    if not graphs:
+        raise ValueError(f"generator spec {spec!r} yields no graph")
+    return graphs
 
 
 def load_graphs(lines: Iterable[str]) -> Iterator[tuple[int, CubicGraph | Exception]]:
@@ -138,9 +142,9 @@ def batch_run(
 ) -> BatchReport:
     """Run the requested pipelines per graph and aggregate bound checks.
 
-    Non-cubic or bridged inputs become skipped rows, never fatal.  Reports
-    are deterministic for identical input; timings are opt-in because they
-    break byte-identical output.
+    Non-cubic, bridged or disconnected inputs become skipped rows, never
+    fatal.  Reports are deterministic for identical input; timings are
+    opt-in because they break byte-identical output.
     """
     mode_set: set[str] = set()
     for m in modes:
@@ -162,8 +166,11 @@ def batch_run(
         g = item
         row = BatchRow(graph_id=graph_id(g), index=idx, n=g.n)
         if bridges(g):
-            row.status = "skipped"
             row.reason = "has bridge"
+        elif not is_connected(g):
+            row.reason = "disconnected"
+        if row.reason:
+            row.status = "skipped"
             rows.append(row)
             continue
         row.girth = girth(g)

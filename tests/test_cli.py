@@ -129,6 +129,19 @@ def test_batch_generator_spec(capsys):
     assert "0 violations" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "p3ring", "5"],  # odd ring sizes are skipped, so nothing is left
+    ["gen", "petersen", "7"],
+    ["batch", "chain:3..1"],
+    ["batch", "p3ring:5..5"],
+])
+def test_empty_generator_spec_is_an_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ValueError" in captured.err
+
+
 def test_batch_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.g6"
     empty.write_text("")

@@ -233,6 +233,15 @@ def test_solve5_rejects_bridged():
         solve_5cyc(bridged)
 
 
+@pytest.mark.parametrize("solve", [solve_5cyc, solve_oddness])
+def test_solvers_reject_disconnected(solve):
+    # Each Petersen copy is bridgeless, but the whole graph is not
+    # 2-edge-connected.
+    g = CubicGraph([*PETERSEN_EDGES, *((u + 10, v + 10) for u, v in PETERSEN_EDGES)])
+    with pytest.raises(HasBridge, match="2-edge-connected"):
+        solve(g)
+
+
 def test_solve_oddness_chain():
     g = gen_chain_family(1)
     f, cert = solve_oddness(g)
@@ -347,11 +356,17 @@ def test_certificate_json_round_trip():
     g = gen_p3_ring(4)
     f, cert = solve_oddness(g)
     back = Certificate.from_json(cert.to_json())
-    assert back.achieved == cert.achieved
-    assert back.bound_value == cert.bound_value
-    assert back.census == cert.census
-    assert back.invariant_I == cert.invariant_I
+    assert back == cert
     assert verify_certificate(g, f, back).ok
+    # The two-cut fixture takes a reduction step, so its certificates carry
+    # a trace summary.
+    g = two_cut_fixture()
+    for solve in (solve_5cyc, solve_oddness):
+        f, cert = solve(g)
+        assert cert.trace_summary
+        back = Certificate.from_json(cert.to_json())
+        assert back == cert
+        assert verify_certificate(g, f, back).ok
 
 
 def test_nontrivial_certificate(petersen):

@@ -9,7 +9,7 @@ import pytest
 from pentafactor.errors import CapExceeded
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
 from pentafactor.formats import serialize_graph
-from pentafactor.graphs import CubicGraph
+from pentafactor.graphs import CubicGraph, PETERSEN_EDGES
 from pentafactor.workbench import (
     batch_run,
     load_graphs,
@@ -43,8 +43,9 @@ def test_generator_specs():
     assert [g.n for g in parse_generator_spec("chain:1..2")] == [32, 62]
     assert [g.n for g in parse_generator_spec("p3ring:2")] == [18]
     assert len(parse_generator_spec("census:8")) == 5
-    with pytest.raises(ValueError):
-        parse_generator_spec("nonsense:3")
+    for spec in ("nonsense:3", "p3ring:5", "chain:3..1", "petersen:7"):
+        with pytest.raises(ValueError):
+            parse_generator_spec(spec)
 
 
 def test_load_graphs_graph6_lines(petersen, k4):
@@ -79,7 +80,18 @@ def test_batch_flags_skipped():
     bridged = CubicGraph(subdiv_k4 + [(u + 5, v + 5) for u, v in subdiv_k4] + [(4, 9)])
     report = batch_run([(0, bridged)], modes=("five",))
     assert report.rows[0].status == "skipped"
+    assert report.rows[0].reason == "has bridge"
     assert report.summary["skipped"] == 1
+
+
+def test_batch_skips_disconnected(petersen):
+    # Two Petersen copies: bridgeless but disconnected.  The row is skipped
+    # and the batch goes on to the next one.
+    two = CubicGraph([*PETERSEN_EDGES, *((u + 10, v + 10) for u, v in PETERSEN_EDGES)])
+    report = batch_run([(0, two), (1, petersen)], modes=("both",))
+    assert [(r.status, r.reason) for r in report.rows] == [
+        ("skipped", "disconnected"), ("ok", None)]
+    assert report.summary["skipped"] == 1 and not report.has_violation
 
 
 def test_batch_oracle_mode(petersen, k4):
