@@ -16,6 +16,7 @@ certificate boundaries.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -24,7 +25,7 @@ from typing import Any, Callable
 
 from .coloring import UNCOLORABLE, even_two_factor_from_coloring, three_edge_color
 from .connectivity import bridges, small_cuts
-from .errors import CertificationError, HasBridge, NoPerfectMatching
+from .errors import CertificationError, HasBridge
 from .factors import TwoFactor, complement_two_factor, two_factor_from_edges
 from .formats import cubicmg_encode, parse_graph, serialize_graph
 from .graphs import CubicGraph, MultiGraph, girth, is_connected, is_petersen
@@ -244,86 +245,75 @@ def build_weights(g: MultiGraph, census: Census) -> dict[int, int]:
 # -- P2 tie-break -----------------------------------------------------------------
 
 
-def _constrained_min(
-    g: MultiGraph, w: WeightVector, forced: frozenset[int], forbidden: frozenset[int]
-) -> tuple[frozenset[int], int] | None:
-    covered = set()
-    for e in forced:
-        u, v = g.endpoints(e)
-        if u in covered or v in covered:
-            return None
-        covered.add(u)
-        covered.add(v)
-    rest_edges = {
-        e: g.endpoints(e)
-        for e in g.edge_ids
-        if e not in forbidden
-        and e not in forced
-        and not (set(g.endpoints(e)) & covered)
-    }
-    rest_vertices = [v for v in g.vertices if v not in covered]
-    sub = MultiGraph(rest_edges, vertices=rest_vertices)
-    try:
-        m, wt = min_weight_perfect_matching(sub, w)
-    except NoPerfectMatching:
-        return None
-    total = wt + sum(w.get(e, 0) for e in forced)
-    return forced | m, total
+def _matchings_within(g: MultiGraph, w: WeightVector, slack: int):
+    """Every perfect matching of g with weight at most ``slack`` under the
+    nonnegative weights w.  An edge heavier than the slack left is never
+    tried, and the free vertex with the fewest affordable edges is matched
+    first: one with none ends the branch, one with a single edge takes it."""
+    free = set(g.vertices)
+    chosen: list[int] = []
+
+    def options(v: int, slack: int) -> list[int]:
+        return [e for e in g.incident(v)
+                if g.other_end(e, v) in free and w.get(e, 0) <= slack]
+
+    def rec(slack: int):
+        if not free:
+            yield frozenset(chosen)
+            return
+        for e in min((options(v, slack) for v in sorted(free)), key=len):
+            ends = g.endpoints(e)
+            free.difference_update(ends)
+            chosen.append(e)
+            yield from rec(slack - w.get(e, 0))
+            chosen.pop()
+            free.update(ends)
+
+    yield from rec(slack)
 
 
 def enumerate_optimal_matchings(
     g: MultiGraph, w: WeightVector, cap: int
 ) -> tuple[list[frozenset[int]], bool]:
-    """All minimum-weight perfect matchings via Murty-style partitioning.
+    """All minimum-weight perfect matchings, sorted, and whether more than
+    ``cap`` exist; then only the first ``cap + 1`` found are returned.
 
-    Returns (matchings, cap_exceeded).  Subproblem cells are disjoint, so no
-    deduplication is needed.  The root cell is solved first and holds every
-    perfect matching, so its minimum is the optimum weight.
+    One blossom call gives the optimum weight (and raises NoPerfectMatching);
+    the optima are then the perfect matchings within that weight.
     """
-    out: list[frozenset[int]] = []
-    stack: list[tuple[frozenset[int], frozenset[int]]] = [(frozenset(), frozenset())]
-    while stack:
-        forced, forbidden = stack.pop()
-        res = _constrained_min(g, w, forced, forbidden)
-        if res is None:
-            if not out:  # the root cell
-                raise NoPerfectMatching("graph has no perfect matching")
-            continue
-        m, wt = res
-        if not out:
-            best_wt = wt
-        elif wt > best_wt:
-            continue
-        out.append(m)
-        if len(out) > cap:
-            return out, True
-        free = sorted(m - forced)
-        acc = set(forced)
-        for e in free:
-            stack.append((frozenset(acc), forbidden | {e}))
-            acc.add(e)
+    _, best = min_weight_perfect_matching(g, w)
+    out = list(itertools.islice(_matchings_within(g, w, best), cap + 1))
     out.sort(key=lambda m: tuple(sorted(m)))
-    return out, False
+    return out, len(out) > cap
 
 
 def p2_tiebreak(
     g: MultiGraph, w: WeightVector, census: Census
 ) -> tuple[frozenset[int], int, bool]:
-    """The blossom's minimum-weight matching, and whether more than
+    """A minimum-weight matching under w that closes the fewest P2
+    occurrences, its weight under w, and whether more than
     ``P2_TIEBREAK_CAP`` optima exist.  Returns (matching, weight, best_effort).
 
-    No other optimum wins the P2 tie-break: every perfect matching gives
-    exactly two (occurrence, circuit) through-pairs per P2 occurrence, by
-    parity on its two boundary edges (test_p2_pair_count_is_constant), and
-    the blossom's rank bonus already picks the lexicographically smallest
-    optimum.  On P2 hosts the optima are enumerated only to set the
-    best-effort flag; the kept matching is the blossom's either way.
+    Every perfect matching gives exactly two (occurrence, circuit)
+    through-pairs per P2 occurrence (test_p2_pair_count_is_constant), so
+    that count ties.  The optima differ in how they route each occurrence:
+    one whose pattern edge 0-10 is matched is closed, leaving two 5-circuits
+    inside it, which can break the invariant_I accounting.  One blossom call
+    on the weights w * (p + 1), plus 1 on the host image of edge 0-10 of each
+    of the p occurrences, charges exactly the closed occurrences; the extra
+    terms sum to at most p, so they act only among the optima under w.  On
+    P2 hosts the optima are enumerated only to set the best-effort flag.
     """
-    m, wt = min_weight_perfect_matching(g, w)
-    if not census.p2:
-        return m, wt, False
-    _, capped = enumerate_optimal_matchings(g, w, P2_TIEBREAK_CAP)
-    return m, wt, capped
+    p = len(census.p2)
+    scaled = {e: x * (p + 1) for e, x in w.items()}
+    for s in census.p2:
+        vmap = dict(s.vertex_map)
+        ends = sorted((vmap[0], vmap[10]))
+        e = next(e for e in s.edge_set if sorted(g.endpoints(e)) == ends)
+        scaled[e] = scaled.get(e, 0) + 1
+    m, _ = min_weight_perfect_matching(g, scaled)
+    capped = p > 0 and enumerate_optimal_matchings(g, w, P2_TIEBREAK_CAP)[1]
+    return m, sum(w.get(e, 0) for e in m), capped
 
 
 # -- the pipeline ----------------------------------------------------------------

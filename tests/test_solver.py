@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pentafactor import solver
+from pentafactor.connectivity import bridges
 from pentafactor.errors import (
     CertificationError,
     HasBridge,
@@ -36,7 +39,13 @@ from pentafactor.solver import (
     verify_certificate,
 )
 
-from tests.hosts import exceptional_22_host, relabeled, two_cut_fixture, two_cycle_fixture
+from tests.hosts import (
+    exceptional_22_host,
+    p2_ring,
+    relabeled,
+    two_cut_fixture,
+    two_cycle_fixture,
+)
 
 
 def test_complement_factor_examples(petersen, k4, cube):
@@ -135,19 +144,71 @@ def test_optimal_matching_enumeration(petersen):
 
 
 def test_optimal_matching_enumeration_solves_root_once(monkeypatch, petersen):
-    # The root cell gives the optimum weight; no separate pre-solve.
+    # One blossom call gives the optimum weight; the search makes no other.
     calls = []
-    original = solver._constrained_min
+    original = solver.min_weight_perfect_matching
 
-    def counting(g, w, forced, forbidden):
-        calls.append((forced, forbidden))
-        return original(g, w, forced, forbidden)
+    def counting(g, w):
+        calls.append(g)
+        return original(g, w)
 
-    monkeypatch.setattr(solver, "_constrained_min", counting)
-    enumerate_optimal_matchings(petersen, {e: 4 for e in petersen.edge_ids}, cap=100)
-    assert calls.count((frozenset(), frozenset())) == 1
+    monkeypatch.setattr(solver, "min_weight_perfect_matching", counting)
+    ms, _ = enumerate_optimal_matchings(petersen, {e: 4 for e in petersen.edge_ids}, cap=100)
+    assert len(ms) == 6 and calls == [petersen]
+    g = full_reduce(p2_ring(3)).reduced
+    census = take_census(g, "oddness")
+    calls.clear()
+    ms, _ = enumerate_optimal_matchings(g, build_weights(g, census), cap=10_000)
+    assert len(ms) == 6**3 and calls == [g]
     with pytest.raises(NoPerfectMatching):
         enumerate_optimal_matchings(MultiGraph([(0, 1), (1, 2), (2, 0)]), {}, cap=10)
+
+
+def _seeded_weights(g: MultiGraph, seed: int) -> dict[int, int]:
+    """Weights in 0..3, so that many optima tie."""
+    rng = random.Random(seed)
+    return {e: rng.randint(0, 3) for e in sorted(g.edge_ids)}
+
+
+def _census_weighted(g: MultiGraph) -> list[tuple[MultiGraph, dict[int, int]]]:
+    reduced = full_reduce(g).reduced
+    return [(reduced, build_weights(reduced, take_census(reduced, "oddness")))]
+
+
+def _census14_bridgeless() -> list[CubicGraph]:
+    path = Path(__file__).parent / "data" / "cubic_simple_connected_14.g6"
+    graphs = [parse_graph(line) for line in path.read_text().splitlines() if line]
+    return [g for g in graphs if not bridges(g)]
+
+
+def _census14_sample() -> list[tuple[MultiGraph, dict[int, int]]]:
+    """Every 60th bridgeless census graph, with seeded weights."""
+    sample = _census14_bridgeless()[::60]
+    return [(g, _seeded_weights(g, i)) for i, g in enumerate(sample)]
+
+
+ORACLE_HOSTS = {
+    "exception-22": lambda: _census_weighted(exceptional_22_host()),
+    "petersen": lambda: [(gen_petersen(), _seeded_weights(gen_petersen(), 0))],
+    "p2ring-3": lambda: _census_weighted(p2_ring(3)),
+    "p2ring-3-relabelled-1": lambda: _census_weighted(relabeled(p2_ring(3), 1)),
+    "p2ring-3-relabelled-6": lambda: _census_weighted(relabeled(p2_ring(3), 6)),
+    "census14": _census14_sample,
+}
+
+
+@pytest.mark.parametrize("host", sorted(ORACLE_HOSTS))
+def test_optimal_matchings_match_exhaustive_oracle(host):
+    # The optima are the minimum-weight members of the exhaustive
+    # enumeration; a cap below their count returns cap + 1 of them.
+    for g, w in ORACLE_HOSTS[host]():
+        matchings = enumerate_perfect_matchings(g)
+        weight = [sum(w.get(e, 0) for e in m) for m in matchings]
+        expected = [m for m, x in zip(matchings, weight) if x == min(weight)]
+        assert enumerate_optimal_matchings(g, w, cap=len(expected)) == (expected, False)
+        for cap in {0, len(expected) - 1}:
+            ms, capped = enumerate_optimal_matchings(g, w, cap=cap)
+            assert capped and len(ms) == cap + 1 and set(ms) <= set(expected)
 
 
 def test_p2_tiebreak_no_p2_passthrough(petersen):
@@ -185,13 +246,25 @@ def test_p2_pair_count_is_constant(host, seed):
 @pytest.mark.parametrize("host", [exceptional_22_host, lambda: parse_graph(P2_RING_3_RELABELLED)],
                          ids=["exception-22", "p2ring-3"])
 def test_p2_tiebreak_keeps_blossom_optimum(host):
-    # Every optimum ties on the P2 pair count, and the blossom's rank bonus
-    # already picks the lexicographically smallest optimum.
+    # Every optimum ties on the P2 pair count.  The kept matching is an
+    # optimum under w, and no optimum matches fewer host images of pattern
+    # edge 0-10, which close their P2 occurrence.
     reduced = full_reduce(host()).reduced
     census = take_census(reduced, "oddness")
     assert census.p2
     w = build_weights(reduced, census)
-    assert p2_tiebreak(reduced, w, census)[0] == min_weight_perfect_matching(reduced, w)[0]
+    m, wt, _ = p2_tiebreak(reduced, w, census)
+    assert wt == sum(w.get(e, 0) for e in m) == min_weight_perfect_matching(reduced, w)[1]
+
+    def closed(matching):
+        return sum(
+            1 for s in census.p2 for e in matching & s.edge_set
+            if set(reduced.endpoints(e)) == {dict(s.vertex_map)[0], dict(s.vertex_map)[10]}
+        )
+
+    optima, capped = enumerate_optimal_matchings(reduced, w, cap=10_000)
+    assert not capped and m in optima
+    assert closed(m) == min(closed(mm) for mm in optima)
 
 
 def test_solve5_colorable(k33, cube):
@@ -372,13 +445,14 @@ def test_certificate_json_round_trip():
 def test_nontrivial_certificate(petersen):
     assert nontrivial_certificate(petersen) is None  # the exception
     assert nontrivial_certificate(gen_chain_family(1)) is None  # cec = 2
-    g = gen_p3_ring(4)
-    result = nontrivial_certificate(g)
-    if result is not None:
-        f, cert = result
-        assert cert.theorem == "T4-nontrivial"
-        assert cert.bound_value == Fraction(g.n, 10)
-        assert cert.achieved <= cert.bound_floor
+    assert nontrivial_certificate(gen_p3_ring(4)) is None  # a non-trivial 3-cut
+    # The dodecahedron: girth 5, cyclically 5-edge-connected.
+    g = CubicGraph(sorted(nx.dodecahedral_graph().edges()))
+    f, cert = nontrivial_certificate(g)
+    assert cert.theorem == "T4-nontrivial"
+    assert cert.bound_value == Fraction(g.n, 10)
+    assert cert.achieved <= cert.bound_floor
+    assert verify_certificate(g, f, cert).ok
 
 
 def test_nontrivial_certificate_needs_a_connected_host():
@@ -427,10 +501,18 @@ def test_p2_ring_of_two_blocks(solve):
     assert verify_certificate(g, f, cert).ok
 
 
-@pytest.mark.xfail(strict=True, raises=CertificationError,
-                   reason="open defect: invariant_I accounting violated after edge relabelling")
-def test_relabelled_p2_ring_accounting_defect():
-    g = parse_graph(P2_RING_3_RELABELLED)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=None)
+@example(seed=6)
+@example(seed=8)
+@example(seed=10)
+def test_relabelled_p2_rings_certify(seed):
+    # Under some edge relabellings of the k = 3 ring, the blossom's
+    # lexicographic optimum closed too many P2 blocks, and the invariant_I
+    # accounting raised CertificationError.  The reproducer (seed None) and
+    # seeds 6, 8 and 10 did so.
+    g = parse_graph(P2_RING_3_RELABELLED) if seed is None else relabeled(p2_ring(3), seed)
     f, cert = solve_oddness(g)
     assert verify_certificate(g, f, cert).ok
 
@@ -438,15 +520,9 @@ def test_relabelled_p2_ring_accounting_defect():
 def test_census_snark_certificates_verify():
     # End-to-end verification over every uncolorable census graph plus a
     # deterministic sample of colorable ones.
-    from pathlib import Path
-
     from pentafactor.coloring import UNCOLORABLE, three_edge_color
-    from pentafactor.connectivity import bridges
-    from pentafactor.formats import parse_graph
 
-    path = Path(__file__).parent / "data" / "cubic_simple_connected_14.g6"
-    graphs = [parse_graph(line) for line in path.read_text().splitlines() if line]
-    graphs = [g for g in graphs if not bridges(g)]
+    graphs = _census14_bridgeless()
     snarks = [g for g in graphs if three_edge_color(g) is UNCOLORABLE]
     sample = snarks + graphs[::97]
     assert len(snarks) == 7  # Petersen, one on 12 vertices, five on 14
