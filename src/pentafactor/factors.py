@@ -1,16 +1,17 @@
 """2-factors: circuit decompositions of spanning 2-regular edge sets.
 
-The invariant I sums (7 - |C|_o)/2 over circuits, where |C|_o is the length
-for odd circuits and length + 7 for even ones; it ties circuit lengths to the
-odd-circuit count through I = 7k/2 - n/2, which the constructor checks.
+The invariant I(M) sums (7 - |C|_o)/2 over circuits, where |C|_o is the
+length for odd circuits and length + 7 for even ones.  The circuits of a
+2-factor cover each vertex once, so their lengths sum to n and the sum equals
+7k/2 - n/2 for k odd circuits; ``TwoFactor.invariant_I`` is that closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificationError, InvalidFactor
+from .errors import InvalidFactor
 from .graphs import Circuit, MultiGraph
 
 
@@ -19,7 +20,6 @@ class TwoFactor:
     circuits: tuple[Circuit, ...]
     edge_ids: frozenset[int]
     n: int
-    invariant_I: Fraction = field(compare=False)
 
     @property
     def odd_count(self) -> int:
@@ -33,15 +33,16 @@ class TwoFactor:
     def count3(self) -> int:
         return sum(1 for c in self.circuits if c.length == 3)
 
+    @property
+    def invariant_I(self) -> Fraction:
+        """I(M) = sum over circuits of (7 - |C|_o)/2, which is 7k/2 - n/2."""
+        return Fraction(7 * self.odd_count - self.n, 2)
+
     def length_counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for c in self.circuits:
             out[c.length] = out.get(c.length, 0) + 1
         return dict(sorted(out.items()))
-
-
-def _odd_length(c: Circuit) -> int:
-    return c.length if c.is_odd else c.length + 7
 
 
 def two_factor_from_edges(g: MultiGraph, edge_ids: frozenset[int]) -> TwoFactor:
@@ -79,12 +80,7 @@ def two_factor_from_edges(g: MultiGraph, edge_ids: frozenset[int]) -> TwoFactor:
             walk_v.append(v)
         circuits.append(Circuit.from_walk(walk_v, walk_e))
     circuits.sort(key=lambda c: (c.length, c.vertices, c.edge_ids))
-
-    inv = sum((Fraction(7 - _odd_length(c), 2) for c in circuits), Fraction(0))
-    k = sum(1 for c in circuits if c.is_odd)
-    if inv != Fraction(7 * k, 2) - Fraction(g.n, 2):
-        raise CertificationError("I(M) identity violated")
-    return TwoFactor(tuple(circuits), frozenset(edge_ids), g.n, inv)
+    return TwoFactor(tuple(circuits), frozenset(edge_ids), g.n)
 
 
 def complement_two_factor(g: MultiGraph, matching: frozenset[int]) -> TwoFactor:

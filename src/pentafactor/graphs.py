@@ -9,7 +9,6 @@ graphs mint fresh ids for new edges and keep the ids of surviving edges.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -155,8 +154,9 @@ class Circuit:
     """A circuit given as aligned cyclic vertex and edge-id sequences.
 
     ``edge_ids[i]`` joins ``vertices[i]`` and ``vertices[(i+1) % length]``.
-    Instances are canonicalized (lexicographically smallest rotation or
-    reflection of the paired sequences), so equal circuits compare equal.
+    Instances are canonicalized to the lexicographically smallest rotation or
+    reflection of the paired sequences, which starts at the least vertex, so
+    equal circuits compare equal.
     """
 
     vertices: tuple[int, ...]
@@ -186,17 +186,11 @@ class Circuit:
             raise ValueError("circuit needs aligned sequences of length >= 2")
         if len(set(vs)) != len(vs) or len(set(es)) != len(es):
             raise ValueError("circuit must not repeat vertices or edges")
-        best = (vs, es)
-        k = len(vs)
-        for seq_v, seq_e in ((vs, es), _reverse_walk(vs, es)):
-            for r in range(k):
-                cand = (
-                    seq_v[r:] + seq_v[:r],
-                    seq_e[r:] + seq_e[:r],
-                )
-                if cand < best:
-                    best = cand
-        return cls(*best)
+        # Vertices are distinct, so only the two walks from the least vertex
+        # can be the least rotation or reflection.
+        r = vs.index(min(vs))
+        vs, es = vs[r:] + vs[:r], es[r:] + es[:r]
+        return cls(*min((vs, es), _reverse_walk(vs, es)))
 
 
 def _reverse_walk(
@@ -435,18 +429,14 @@ def is_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
             and match_isomorphic(g1, p1, g2, p2))
 
 
-@functools.cache
-def _petersen_form() -> tuple[CubicGraph, dict[int, tuple], tuple]:
-    """Petersen with its profiles and hash, built on first use."""
-    g = CubicGraph(PETERSEN_EDGES)
-    profiles = vertex_profiles(g)
-    return g, profiles, refinement_hash(g, profiles)
-
-
 def is_petersen(g: MultiGraph) -> bool:
-    if g.n != 10 or g.m != 15:
-        return False
-    pet, pet_profiles, pet_hash = _petersen_form()
-    profiles = vertex_profiles(g)
-    return (refinement_hash(g, profiles) == pet_hash
-            and match_isomorphic(g, profiles, pet, pet_profiles))
+    """Whether g is the Petersen graph.
+
+    A cubic graph of girth 5 has at least 1 + 3 + 6 = 10 vertices (the Moore
+    bound), and Petersen is the only one that meets it (Hoffman & Singleton,
+    IBM J. Res. Dev. 1960).  So on 10 vertices and 15 edges, cubic with
+    girth 5 is the whole test.
+    """
+    return (g.n == 10 and g.m == 15
+            and all(g.degree(v) == 3 for v in g.vertices)
+            and girth(g) == 5)

@@ -2,8 +2,9 @@
 
 Every step records a lift table: keyed by the subset of the step's new edges
 that a 2-factor of the reduced graph uses, it lists the original edges that
-replace them.  Lifting never introduces 3- or 5-circuits and never increases
-the 5-circuit count (checked per step; a failure raises CertificationError).
+replace them.  Lifting never introduces 3-circuits, never increases the
+5-circuit count and keeps the odd-circuit count (checked per step; a failure
+raises CertificationError).
 
 Step order inside full_reduce mirrors the proofs' dependency order: 2-cycles,
 triangles, 4-circuits, then 2-cuts, then independent non-trivial 3-cuts,
@@ -387,12 +388,13 @@ def full_reduce(g: CubicGraph) -> ReductionTrace:
 def lift_two_factor(trace: ReductionTrace, factor: TwoFactor) -> TwoFactor:
     """Map a 2-factor of the reduced graph to one of the original graph.
 
-    The lifted factor has no 3-circuits and at most as many 5-circuits; both
-    are checked per step and a failure raises CertificationError.
+    The lifted factor has no 3-circuits, at most as many 5-circuits and as
+    many odd circuits; all three are checked per step and a failure raises
+    CertificationError.
     """
     current = two_factor_from_edges(trace.reduced, factor.edge_ids)
     edges = set(current.edge_ids)
-    count5 = current.count5
+    count5, odd = current.count5, current.odd_count
     out = current
     for step in reversed(trace.steps):
         edges = step.lift_edges(edges)
@@ -401,5 +403,7 @@ def lift_two_factor(trace: ReductionTrace, factor: TwoFactor) -> TwoFactor:
             raise CertificationError(f"{step.kind} lift created a triangle")
         if out.count5 > count5:
             raise CertificationError(f"{step.kind} lift increased the 5-count")
+        if out.odd_count != odd:
+            raise CertificationError(f"{step.kind} lift changed the odd count")
         count5 = out.count5
     return out

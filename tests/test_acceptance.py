@@ -137,7 +137,10 @@ def test_criterion_6_invariant_identity():
     for g in bridgeless(census_graphs(10)) + [gen_petersen(), gen_p3_ring(2)]:
         for m in enumerate_perfect_matchings(g):
             f = complement_two_factor(g, m)
-            assert f.invariant_I == Fraction(7 * f.odd_count - g.n, 2)
+            # The defining sum of (7 - |C|_o)/2, |C|_o = |C| (+ 7 if even).
+            assert f.invariant_I == sum(
+                Fraction(7 - c.length - (0 if c.is_odd else 7), 2) for c in f.circuits
+            )
             checked += 1
     report(6, f"I(M) = 7k/2 - n/2 on {checked} two-factors (exact rationals)")
 

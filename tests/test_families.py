@@ -17,7 +17,7 @@ from pentafactor.families import (
     gen_petersen,
     simple_cubic_census,
 )
-from pentafactor.graphs import girth, is_connected, is_petersen
+from pentafactor.graphs import girth, is_connected, is_isomorphic, is_petersen
 from pentafactor.matching import enumerate_perfect_matchings
 from pentafactor.patterns import take_census
 from pentafactor.solver import solve_5cyc, solve_oddness
@@ -73,10 +73,25 @@ def test_p3_ring_census_on_reduced():
 
 
 @pytest.fixture(scope="module")
-def fresh_census():
-    """simple_cubic_census(n) for n <= 10, from one incremental build."""
-    levels = cubic_multigraph_levels(10)
-    return {n: [g for g in gs if g.is_simple() and is_connected(g)] for n, gs in levels.items()}
+def levels10():
+    """All cubic multigraphs on n <= 10 vertices: the module's one build."""
+    return cubic_multigraph_levels(10)
+
+
+@pytest.fixture(scope="module")
+def fresh_census(levels10):
+    """simple_cubic_census(n) for n <= 10."""
+    return {n: [g for g in gs if g.is_simple() and is_connected(g)] for n, gs in levels10.items()}
+
+
+def test_is_petersen_agrees_with_isomorphism(levels10):
+    # Disconnected graphs and multigraphs included; exactly one is Petersen.
+    pet = gen_petersen()
+    graphs = levels10[10]
+    assert len(graphs) == 135
+    assert sum(map(is_petersen, graphs)) == 1
+    for g in graphs:
+        assert is_petersen(g) == is_isomorphic(g, pet)
 
 
 def test_census_counts_small():

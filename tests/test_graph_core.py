@@ -66,6 +66,32 @@ def test_circuit_canonical_form():
     assert c1.length == 3 and c1.is_odd
 
 
+def _least_rotation_or_reflection(vs, es):
+    """Reference: the minimum over all 2k rotations and reflections."""
+    k = len(vs)
+    # The reversed walk v_{k-1} ... v_0 uses edge e_{k-2-i} as its edge i.
+    reverse = (vs[::-1], tuple(es[(k - 2 - i) % k] for i in range(k)))
+    best = (vs, es)
+    for seq_v, seq_e in ((vs, es), reverse):
+        for r in range(k):
+            cand = (seq_v[r:] + seq_v[:r], seq_e[r:] + seq_e[:r])
+            if cand < best:
+                best = cand
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_from_walk_is_least_rotation_or_reflection(data):
+    # k = 2 is a 2-circuit on parallel edges.
+    k = data.draw(st.integers(2, 40), label="k")
+    distinct = st.lists(st.integers(0, 99), min_size=k, max_size=k, unique=True)
+    vs = tuple(data.draw(distinct, label="vertices"))
+    es = tuple(data.draw(distinct, label="edge_ids"))
+    c = Circuit.from_walk(vs, es)
+    assert (c.vertices, c.edge_ids) == _least_rotation_or_reflection(vs, es)
+
+
 def test_petersen_five_circuits(petersen):
     circuits = enumerate_circuits_up_to(petersen, 5)
     assert len(circuits) == 12

@@ -95,6 +95,7 @@ def test_lift_back_safety_exhaustive(kind, builder):
         lifted = lift_two_factor(trace, f)
         assert lifted.count3 == 0
         assert lifted.count5 <= f.count5
+        assert lifted.odd_count == f.odd_count
         assert lifted.n == trace.original.n
 
 
@@ -113,17 +114,27 @@ def bad_lift_trace(kind: str):
     "triangle": the step maps the prism's two-triangle 2-factor to itself.
     "five": the step maps a 4-circuit of K4 (edge ids 100..105) onto the
     two 5-circuits of Petersen.
+    "odd": the step maps the same 4-circuit onto the outer and inner
+    7-circuits of the generalized Petersen graph GP(7, 2), a factor with no
+    triangle and no 5-circuit but two odd circuits.
     """
     if kind == "triangle":
         pre = post = CubicGraph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                                  (0, 3), (1, 4), (2, 5)])
         used, new_ids, cases = {0, 1, 2, 3, 4, 5}, frozenset(), {frozenset(): ()}
     else:
-        pre = CubicGraph(PETERSEN_EDGES)
         k4 = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
         post = CubicGraph({100 + i: uv for i, uv in enumerate(k4)})
         used, new_ids = {100, 101, 102, 103}, frozenset(post.edge_ids)
-        cases = {frozenset(used): (0, 1, 2, 3, 4, 10, 11, 12, 13, 14)}
+        if kind == "five":
+            pre = CubicGraph(PETERSEN_EDGES)
+            cases = {frozenset(used): (0, 1, 2, 3, 4, 10, 11, 12, 13, 14)}
+        else:
+            # Outer circuit ids 0..6, spokes 7..13, inner circuit ids 14..20.
+            pre = CubicGraph([(i, (i + 1) % 7) for i in range(7)]
+                             + [(i, i + 7) for i in range(7)]
+                             + [(i + 7, (i + 2) % 7 + 7) for i in range(7)])
+            cases = {frozenset(used): tuple(range(7)) + tuple(range(14, 21))}
     step = ReductionStep(kind="Forged", pre=pre, post=post,
                          new_ids=new_ids, cases=cases)
     trace = ReductionTrace(original=pre, reduced=post, steps=(step,),
@@ -134,6 +145,7 @@ def bad_lift_trace(kind: str):
 @pytest.mark.parametrize("kind, message", [
     ("triangle", "lift created a triangle"),
     ("five", "lift increased the 5-count"),
+    ("odd", "lift changed the odd count"),
 ])
 def test_bad_lift_case_raises_typed_error(kind, message):
     trace, f = bad_lift_trace(kind)
@@ -148,7 +160,7 @@ def test_bad_lift_case_raises_under_optimize():
         "from pentafactor.errors import CertificationError\n"
         "from pentafactor.reductions import lift_two_factor\n"
         "from tests.test_reductions import bad_lift_trace\n"
-        "for kind in ('triangle', 'five'):\n"
+        "for kind in ('triangle', 'five', 'odd'):\n"
         "    try:\n"
         "        lift_two_factor(*bad_lift_trace(kind))\n"
         "    except CertificationError:\n"

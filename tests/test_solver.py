@@ -65,7 +65,10 @@ def test_i_identity_everywhere(petersen, k4, k33, cube):
     for g in (petersen, k4, k33, cube, gen_chain_family(1)):
         for m in enumerate_perfect_matchings(g)[:20]:
             f = complement_two_factor(g, m)
-            assert f.invariant_I == Fraction(7 * f.odd_count - g.n, 2)
+            # The defining sum of (7 - |C|_o)/2, |C|_o = |C| (+ 7 if even).
+            assert f.invariant_I == sum(
+                Fraction(7 - c.length - (0 if c.is_odd else 7), 2) for c in f.circuits
+            )
 
 
 def test_weights_5cyc_isolated_circuit():
