@@ -4,15 +4,16 @@
 sentinel ``UNCOLORABLE``.  Exactness matters; a wrong verdict breaks the
 reduction routing, so the search is exhaustive (unit propagation plus
 most-constrained branching) with a 2-edge-cut decomposition in front that
-splits chains of uncolorable blocks into Petersen-sized pieces.
+splits chains of uncolorable blocks into Petersen-sized pieces.  The 2-cuts
+come from the cut layer's one search, ``connectivity.two_cuts``, and each
+split takes its small side from the cut layer's record of the cut.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .connectivity import bridges, bridges_skipping, cut_labels, side_completion
+from .connectivity import _cut_record, bridges, cut_labels, side_completion, two_cuts
 from .errors import CertificationError, ImproperColoring, Sentinel
 from .factors import TwoFactor, two_factor_from_edges
 from .graphs import CubicGraph, MultiGraph, connected_components
@@ -69,25 +70,10 @@ def _color_connected(g: MultiGraph) -> EdgeColoring | Sentinel:
             merged.update(res.assignment)
         return EdgeColoring(merged)
 
-    cut = _find_two_cut(g)
+    cut = next(two_cuts(g, cut_labels(g)), None)
     if cut is not None:
         return _color_via_two_cut(g, cut)
     return _backtrack_color(g)
-
-
-def _find_two_cut(g: MultiGraph) -> tuple[int, int] | None:
-    """The first edge in id order that lies in a 2-cut of the bridgeless g,
-    with the smallest edge it pairs with.  Both edges of a 2-cut carry one
-    cut label, so only edges that share their label are tried."""
-    label = cut_labels(g)
-    shared = Counter(label.values())
-    for e in g.edge_ids:
-        if shared[label[e]] < 2:
-            continue
-        br = bridges_skipping(g, frozenset((e,)))
-        if br:
-            return e, br[0]
-    return None
 
 
 def _color_via_two_cut(g: MultiGraph, cut: tuple[int, int]) -> EdgeColoring | Sentinel:
@@ -98,13 +84,10 @@ def _color_via_two_cut(g: MultiGraph, cut: tuple[int, int]) -> EdgeColoring | Se
     side completions are; the witness is spliced back with one color
     permutation.
     """
-    comps = connected_components(g, removed_edges=frozenset(cut))
-    if len(comps) != 2:
-        raise CertificationError("a 2-edge-cut must leave exactly two components")
-    comps.sort(key=len)  # fail fast on the small side
+    small = _cut_record(g, frozenset(cut)).side_small  # fail fast on the small side
     sides = []
-    for comp in comps:
-        completion, _, _, (virt,) = side_completion(g, frozenset(comp), cut)
+    for side in (small, frozenset(g.vertices) - small):
+        completion, _, _, (virt,) = side_completion(g, side, cut)
         res = _color_connected(completion)
         if res is UNCOLORABLE:
             return UNCOLORABLE

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 from .errors import CertificationError, HasBridge, NotDefined
 from .graphs import (
@@ -96,7 +97,8 @@ def _cut_record(g: MultiGraph, ids: frozenset[int]) -> EdgeCut:
     comps = connected_components(g, removed_edges=ids)
     if len(comps) != 2:
         raise CertificationError("minimal cut must leave exactly two components")
-    small = min(comps, key=lambda c: (len(c), tuple(sorted(c))))
+    # connected_components lists the least vertex's side first; min keeps it on a tie.
+    small = min(comps, key=len)
     endpoints = {v for e in ids for v in g.endpoints(e)}
     return EdgeCut(ids, frozenset(small), len(endpoints) == 2 * len(ids))
 
@@ -151,6 +153,21 @@ def cut_labels(g: MultiGraph) -> dict[int, int]:
     return label
 
 
+def two_cuts(g: MultiGraph, label: Mapping[int, int]) -> Iterator[tuple[int, int]]:
+    """Every 2-cut (e, f), e < f, of the connected bridgeless g, in id order.
+
+    Both edges of a 2-cut carry one ``cut_labels`` label, so only an edge
+    whose label a later edge shares is tried: f pairs with e iff f is a
+    bridge of g - e.
+    """
+    last = {label[e]: e for e in g.edge_ids}
+    for e in g.edge_ids:
+        if last[label[e]] > e:
+            for f in bridges_skipping(g, frozenset((e,))) or ():
+                if f > e:
+                    yield e, f
+
+
 def small_cuts(g: MultiGraph, k: int) -> list[EdgeCut]:
     """All minimal edge-cuts of size <= k (k in {2, 3}) of a bridgeless
     graph, except the trivial 3-cuts: the three edges at one vertex.
@@ -159,25 +176,21 @@ def small_cuts(g: MultiGraph, k: int) -> list[EdgeCut]:
     (Pritchard & Thurimella, *Fast computation of small cuts via cycle space
     sampling*, ACM TALG 2011): a 2-cut is a pair of equal labels and a 3-cut
     a triple that XORs to 0.  Every cut is a candidate, and one bridge pass
-    confirms each: a pair {e, f} is a 2-cut iff f is a bridge of g - e, and
-    a triple iff h is a bridge of g - {e, f} and no pair inside it is a 2-cut.
+    confirms each: a pair {e, f} is a 2-cut iff f is a bridge of g - e (the
+    pairs come from ``two_cuts``), and a triple iff h is a bridge of
+    g - {e, f} and no pair inside it is a 2-cut.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if bridges(g):
         raise HasBridge("small_cuts requires a bridgeless graph")
     label = cut_labels(g)
-    groups: dict[int, list[int]] = {}
-    for e in g.edge_ids:
-        groups.setdefault(label[e], []).append(e)
-    pair_cuts: set[frozenset[int]] = set()
-    for group in groups.values():
-        # The last edge's 2-cuts all pair it with an earlier edge of the group.
-        for e in group[:-1]:
-            for f in bridges_skipping(g, frozenset((e,))) or ():
-                pair_cuts.add(frozenset((e, f)))
+    pair_cuts = {frozenset(cut) for cut in two_cuts(g, label)}
     cuts = set(pair_cuts)
     if k == 3:
+        groups: dict[int, list[int]] = {}
+        for e in g.edge_ids:
+            groups.setdefault(label[e], []).append(e)
         stars = {frozenset(g.incident(v)) for v in g.vertices}
         ids = list(g.edge_ids)
         for i, e in enumerate(ids):

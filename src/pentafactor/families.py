@@ -34,8 +34,6 @@ _P3_COPY_EDGES = tuple(
     (u - 1, v - 1) for u, v in PETERSEN_EDGES if 0 not in (u, v)
 )
 _P3_COPY_STUBS = (0, 3, 4)
-# Rotations of the antipodal matching that gen_p3_ring tries.
-_P3_RING_RETRIES = 8
 
 
 def gen_chain_family(k: int) -> CubicGraph:
@@ -65,46 +63,24 @@ def gen_chain_family(k: int) -> CubicGraph:
 def gen_p3_ring(copies: int) -> CubicGraph:
     """An even number of P3 copies wired into a ring without 2-edge-cuts.
 
-    One stub to each ring neighbor; third stubs matched antipodally.  If a
-    wiring leaves a 2-edge-cut the antipodal matching is rotated and the
-    construction retried.
+    One stub to each ring neighbor; third stubs matched antipodally.
     """
     if copies < 2 or copies % 2:
         raise ValueError("copies must be even and >= 2")
-
-    def build(shift: int) -> CubicGraph:
-        edges: list[tuple[int, int]] = []
-        for i in range(copies):
-            off = 9 * i
-            edges.extend((u + off, v + off) for u, v in _P3_COPY_EDGES)
-        a, b, c = _P3_COPY_STUBS
-        for i in range(copies):
-            edges.append((9 * i + b, 9 * ((i + 1) % copies) + a))
-        half = copies // 2
-        paired: set[int] = set()
-        for i in range(copies):
-            j = (i + half + shift) % copies
-            if i in paired or j in paired or i == j:
-                continue
-            edges.append((9 * i + c, 9 * j + c))
-            paired.add(i)
-            paired.add(j)
-        if len(paired) != copies:
-            raise ConstructionFailed("antipodal matching incomplete")
-        return CubicGraph(edges)
-
-    for shift in range(_P3_RING_RETRIES):
-        try:
-            g = build(shift)
-        except (ConstructionFailed, ValueError):
-            continue
-        if bridges(g):
-            continue
-        if not small_cuts(g, 2):
-            if g.n != 9 * copies:
-                raise ConstructionFailed(f"P3 ring has {g.n} vertices, not {9 * copies}")
-            return g
-    raise ConstructionFailed(f"no 2-cut-free wiring found for {copies} copies")
+    edges: list[tuple[int, int]] = []
+    for i in range(copies):
+        off = 9 * i
+        edges.extend((u + off, v + off) for u, v in _P3_COPY_EDGES)
+    a, b, c = _P3_COPY_STUBS
+    for i in range(copies):
+        edges.append((9 * i + b, 9 * ((i + 1) % copies) + a))
+    half = copies // 2
+    for i in range(half):
+        edges.append((9 * i + c, 9 * (i + half) + c))
+    g = CubicGraph(edges)
+    if g.n != 9 * copies or bridges(g) or small_cuts(g, 2):
+        raise ConstructionFailed(f"P3 ring of {copies} copies: not 2-cut-free on 9k vertices")
+    return g
 
 
 # -- census generation ---------------------------------------------------------

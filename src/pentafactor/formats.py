@@ -7,7 +7,7 @@ sparse6 is accepted read-only.
 
 from __future__ import annotations
 
-from .errors import LoopEdge, NotCubic, ParseError
+from .errors import LoopEdge, ParseError
 from .graphs import CubicGraph, MultiGraph
 
 _G6_HEADER = ">>graph6<<"
@@ -36,14 +36,7 @@ def parse_graph(text: str) -> CubicGraph:
         raise
     except Exception as exc:  # malformed bit streams etc.
         raise ParseError(f"malformed graph text: {exc}") from exc
-    try:
-        return CubicGraph(edges, vertices=range(n))
-    except LoopEdge:
-        raise
-    except NotCubic:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return CubicGraph(edges, vertices=range(n))
 
 
 def serialize_graph(g: CubicGraph) -> str:

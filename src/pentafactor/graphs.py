@@ -122,8 +122,6 @@ class CubicGraph(MultiGraph):
         bad = [v for v in self.vertices if self.degree(v) != 3]
         if bad:
             raise NotCubic(f"vertices with degree != 3: {bad[:5]}")
-        if self.n % 2:  # 3n = 2m forces n even
-            raise NotCubic(f"odd vertex count {self.n}")
 
 
 class PatternGraph(MultiGraph):

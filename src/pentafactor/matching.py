@@ -1,4 +1,5 @@
-"""Exact minimum-weight perfect matching and an exhaustive enumerator.
+"""Exact minimum-weight perfect matching, an exhaustive enumerator, and
+2-factor existence as a perfect matching of the degree-3 vertices.
 
 Weights are nonnegative integers in quarter-units (the objective coefficients
 1/4, 1, 2 become 1, 4, 8) so the optimization stays integral and comparisons
@@ -119,38 +120,24 @@ def fractional_objective_value(g: MultiGraph, weights: WeightVector) -> Fraction
 def has_two_factor(g: MultiGraph, removed_vertices: frozenset[int] = frozenset()) -> bool:
     """Does g minus the removed vertices have a spanning 2-regular subgraph?
 
-    Classical degree-factor reduction: each remaining vertex of degree d
-    becomes d edge-end nodes plus d-2 core nodes joined completely; original
-    edges join their two end nodes.  A perfect matching of the gadget selects
-    exactly two edges per vertex.
+    That graph must have maximum degree 3 (ValueError otherwise).  A 2-factor
+    then leaves out one edge at each degree-3 vertex and none at a degree-2
+    vertex, so one exists iff every vertex has degree >= 2 and the degree-3
+    vertices have a perfect matching among themselves.
     """
-    keep = [v for v in g.vertices if v not in removed_vertices]
-    if not keep:
-        return True
-    keep_set = set(keep)
-    inc: dict[int, list[int]] = {v: [] for v in keep}
-    kept_edges = []
-    for eid, (u, v) in g.edge_items():
-        if u in keep_set and v in keep_set:
-            inc[u].append(eid)
-            inc[v].append(eid)
-            kept_edges.append(eid)
-    if any(len(inc[v]) < 2 for v in keep):
+    keep = frozenset(g.vertices) - removed_vertices
+    degree = dict.fromkeys(keep, 0)
+    for e in g.induced_edge_ids(keep):
+        for v in g.endpoints(e):
+            degree[v] += 1
+    if any(d > 3 for d in degree.values()):
+        raise ValueError("has_two_factor needs maximum degree 3")
+    if any(d < 2 for d in degree.values()):
         return False
-    import networkx as nx  # deferred, as in min_weight_perfect_matching
-
-    gx = nx.Graph()
-    for v in keep:
-        d = len(inc[v])
-        for e in inc[v]:
-            gx.add_node(("h", v, e))
-        for j in range(d - 2):
-            core = ("c", v, j)
-            gx.add_node(core)
-            for e in inc[v]:
-                gx.add_edge(core, ("h", v, e))
-    for eid in kept_edges:
-        u, v = g.endpoints(eid)
-        gx.add_edge(("h", u, eid), ("h", v, eid))
-    mate = nx.max_weight_matching(gx, maxcardinality=True)
-    return 2 * len(mate) == gx.number_of_nodes()
+    cubic = [v for v, d in degree.items() if d == 3]
+    sub = MultiGraph({e: g.endpoints(e) for e in g.induced_edge_ids(cubic)}, vertices=cubic)
+    try:
+        min_weight_perfect_matching(sub, {})
+    except NoPerfectMatching:
+        return False
+    return True

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pentafactor import coloring, connectivity
-from pentafactor.coloring import _find_two_cut, three_edge_color
+from pentafactor.coloring import three_edge_color
 from pentafactor.connectivity import (
     _cut_record,
     bridges,
@@ -19,6 +19,7 @@ from pentafactor.connectivity import (
     cyclic_edge_connectivity,
     edges_in_small_cuts,
     small_cuts,
+    two_cuts,
 )
 from pentafactor.errors import HasBridge, NotDefined
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
@@ -211,7 +212,9 @@ def nontrivial(cuts):
 def assert_cuts_match_bridge_pass(g):
     assert small_cuts(g, 2) == bridge_pass_small_cuts(g, 2)
     assert small_cuts(g, 3) == nontrivial(bridge_pass_small_cuts(g, 3))
-    assert _find_two_cut(g) == bridge_pass_two_cut(g)
+    pairs = list(two_cuts(g, cut_labels(g)))
+    assert pairs == sorted(tuple(sorted(c.edge_ids)) for c in bridge_pass_small_cuts(g, 2))
+    assert (pairs[0] if pairs else None) == bridge_pass_two_cut(g)
 
 
 BRIDGELESS_CENSUS14 = [g for g in CENSUS14 if not bridges(g)]

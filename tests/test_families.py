@@ -10,6 +10,8 @@ import pytest
 from pentafactor.connectivity import bridges, cyclic_edge_connectivity, small_cuts
 from pentafactor.coloring import UNCOLORABLE, three_edge_color
 from pentafactor.families import (
+    _P3_COPY_EDGES,
+    _P3_COPY_STUBS,
     connected_cubic_multigraphs,
     cubic_multigraph_levels,
     gen_chain_family,
@@ -17,7 +19,7 @@ from pentafactor.families import (
     gen_petersen,
     simple_cubic_census,
 )
-from pentafactor.graphs import girth, is_connected, is_isomorphic, is_petersen
+from pentafactor.graphs import CubicGraph, girth, is_connected, is_isomorphic, is_petersen
 from pentafactor.matching import enumerate_perfect_matchings
 from pentafactor.patterns import take_census
 from pentafactor.solver import solve_5cyc, solve_oddness
@@ -56,6 +58,41 @@ def test_p3_ring_structure(copies):
     assert not bridges(g)
     assert small_cuts(g, 2) == []  # 3-edge-connected by construction
     assert girth(g) == 5
+
+
+def retrying_p3_ring(copies):
+    """Reference: the antipodal wiring retried under up to eight rotations
+    until it leaves no bridge and no 2-edge-cut."""
+    a, b, c = _P3_COPY_STUBS
+    half = copies // 2
+    for shift in range(8):
+        edges = []
+        for i in range(copies):
+            edges.extend((u + 9 * i, v + 9 * i) for u, v in _P3_COPY_EDGES)
+        for i in range(copies):
+            edges.append((9 * i + b, 9 * ((i + 1) % copies) + a))
+        paired = set()
+        for i in range(copies):
+            j = (i + half + shift) % copies
+            if i in paired or j in paired or i == j:
+                continue
+            edges.append((9 * i + c, 9 * j + c))
+            paired.update((i, j))
+        if len(paired) != copies:
+            continue
+        g = CubicGraph(edges)
+        if not bridges(g) and not small_cuts(g, 2):
+            return g
+    return None
+
+
+def test_p3_ring_is_the_first_retried_wiring():
+    # The unrotated antipodal wiring is 2-cut-free for every even size
+    # measured, so the retry loop it replaced never rotated.
+    for copies in range(2, 41, 2):
+        reference = retrying_p3_ring(copies)
+        assert reference is not None
+        assert dict(gen_p3_ring(copies).edge_items()) == dict(reference.edge_items())
 
 
 def test_p3_ring_parity_rejected():

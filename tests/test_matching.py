@@ -139,9 +139,72 @@ def test_two_factor_existence_matches_matchings(petersen, cube):
             assert in_some_factor == has_two_factor(g, c.vertex_set)
 
 
+def gadget_has_two_factor(g, removed_vertices=frozenset()):
+    """Reference: Tutte's degree gadget.  Each kept vertex of degree d becomes
+    d edge-end nodes plus d - 2 core nodes joined completely; each kept edge
+    joins its two end nodes.  A perfect matching of the gadget keeps exactly
+    two edges per vertex."""
+    import networkx as nx
+
+    keep = [v for v in g.vertices if v not in removed_vertices]
+    if not keep:
+        return True
+    keep_set = set(keep)
+    inc = {v: [] for v in keep}
+    kept_edges = []
+    for eid, (u, v) in g.edge_items():
+        if u in keep_set and v in keep_set:
+            inc[u].append(eid)
+            inc[v].append(eid)
+            kept_edges.append(eid)
+    if any(len(inc[v]) < 2 for v in keep):
+        return False
+    gx = nx.Graph()
+    for v in keep:
+        for e in inc[v]:
+            gx.add_node(("h", v, e))
+        for j in range(len(inc[v]) - 2):
+            for e in inc[v]:
+                gx.add_edge(("c", v, j), ("h", v, e))
+    for eid in kept_edges:
+        u, v = g.endpoints(eid)
+        gx.add_edge(("h", u, eid), ("h", v, eid))
+    mate = nx.max_weight_matching(gx, maxcardinality=True)
+    return 2 * len(mate) == gx.number_of_nodes()
+
+
+def test_two_factor_existence_matches_gadget():
+    # Every cubic multigraph on n <= 10, disconnected ones included, with
+    # nothing removed, with each short circuit's vertex set removed, and with
+    # seeded random vertex subsets removed.
+    from pentafactor.families import cubic_multigraph_levels
+    from pentafactor.graphs import enumerate_circuits_up_to
+
+    rng = random.Random(23)
+    graphs = [g for gs in cubic_multigraph_levels(10).values() for g in gs]
+    assert len(graphs) == 180
+    cases = 0
+    for g in graphs:
+        removals = [frozenset()]
+        removals += [c.vertex_set for c in enumerate_circuits_up_to(g, 9)]
+        removals += [frozenset(v for v in g.vertices if rng.random() < 0.3) for _ in range(5)]
+        for removed in removals:
+            assert has_two_factor(g, removed) == gadget_has_two_factor(g, removed)
+            cases += 1
+    assert cases == 4967
+
+
+def test_two_factor_existence_rejects_degree_four():
+    # Two vertices joined by four parallel edges: degree 4 on both.
+    g = MultiGraph([(0, 1)] * 4)
+    with pytest.raises(ValueError):
+        has_two_factor(g)
+    assert has_two_factor(g, frozenset({0, 1}))
+
+
 def test_import_defers_networkx():
-    # networkx is most of the package's import time; only the two blossom
-    # calls need it, so they import it on first use.
+    # networkx is most of the package's import time; only the blossom call
+    # needs it, so it imports it on first use.
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(

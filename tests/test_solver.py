@@ -57,7 +57,10 @@ def test_complement_factor_examples(petersen, k4, cube):
     assert f.length_counts() == {4: 1} and f.invariant_I == -2
     for m in enumerate_perfect_matchings(cube):
         f = complement_two_factor(cube, m)
-        assert f.invariant_I == Fraction(7 * f.odd_count, 2) - Fraction(cube.n, 2)
+        # The defining sum of (7 - |C|_o)/2, as in test_i_identity_everywhere.
+        assert f.invariant_I == sum(
+            Fraction(7 - c.length - (0 if c.is_odd else 7), 2) for c in f.circuits
+        )
         assert f.invariant_I == -4  # all cube 2-factors are even
 
 
