@@ -1,8 +1,8 @@
-"""The oddness pipeline: 6n/35 odd circuits certified on the reduced graph.
+"""The oddness pipeline: at most 6n'/35 odd circuits, n' the reduced graph's
+vertex count.
 
-The certificate lives on the reduced graph (the reductions for oddness do
-not come with a constructive odd-count lift); the returned factor is still
-lifted and reported with its own statistics.
+The bound is proved on the reduced graph, and every lift step keeps the odd
+count, so ``achieved`` is the odd count of the factor returned on the input.
 """
 
 from pentafactor import gen_chain_family, gen_p3_ring, solve_oddness, verify_certificate
@@ -11,11 +11,10 @@ from pentafactor.errors import UnclassifiableP3b
 for name, g in [("chain k=1", gen_chain_family(1)), ("P3 ring, 4 copies", gen_p3_ring(4))]:
     factor, cert = solve_oddness(g)
     print(f"{name}: n={g.n}")
-    print("  k on reduced graph:", cert.achieved, "<= floor(6n/35) =", cert.bound_floor)
+    print("  odd circuits:", cert.achieved, "<= floor(6n'/35) =", cert.bound_floor)
     print("  I(M) =", cert.invariant_I, "= 7k/2 - n/2 check:",
           cert.invariant_I == (7 * cert.achieved - cert.reduced_n) / 2)
-    print("  lifted factor odd count:", factor.odd_count,
-          "| lengths:", factor.length_counts())
+    print("  lifted factor lengths:", factor.length_counts())
     print("  verified:", verify_certificate(g, factor, cert).ok)
 
 # Two fully glued P3 copies defeat the boundary-pair case analysis; the

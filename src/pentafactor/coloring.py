@@ -51,25 +51,28 @@ def three_edge_color(g: CubicGraph) -> EdgeColoring | Sentinel:
     """A proper 3-edge-coloring of g, or the verdict UNCOLORABLE.
 
     A cubic graph with a bridge is never 3-edge-colorable (each color class
-    would be a perfect matching and all three would need the bridge).
+    would be a perfect matching and all three would need the bridge).  A
+    bridgeless g is split into its connected components here, once, and each
+    is colored on its own.
     """
     if bridges(g):
         return UNCOLORABLE
-    return _color_connected(g)
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return _color_connected(g)
+    merged: dict[int, int] = {}
+    for comp in comps:
+        sub = MultiGraph({e: g.endpoints(e) for e in g.induced_edge_ids(comp)})
+        res = _color_connected(sub)
+        if res is UNCOLORABLE:
+            return UNCOLORABLE
+        merged.update(res.assignment)
+    return EdgeColoring(merged)
 
 
 def _color_connected(g: MultiGraph) -> EdgeColoring | Sentinel:
-    comps = connected_components(g)
-    if len(comps) > 1:
-        merged: dict[int, int] = {}
-        for comp in comps:
-            sub = MultiGraph({e: g.endpoints(e) for e in g.induced_edge_ids(comp)})
-            res = _color_connected(sub)
-            if res is UNCOLORABLE:
-                return UNCOLORABLE
-            merged.update(res.assignment)
-        return EdgeColoring(merged)
-
+    """Color a connected g.  A minimal 2-cut leaves two connected sides
+    (``_cut_record`` checks), so each side completion is connected too."""
     cut = next(two_cuts(g, cut_labels(g)), None)
     if cut is not None:
         return _color_via_two_cut(g, cut)

@@ -15,7 +15,6 @@ from .graphs import (
     PETERSEN_EDGES,
     is_connected,
     match_isomorphic,
-    refinement_hash,
     vertex_profiles,
 )
 
@@ -144,7 +143,7 @@ def cubic_multigraph_levels(max_n: int) -> dict[int, list[CubicGraph]]:
 
         def admit(h: CubicGraph) -> None:
             prof = vertex_profiles(h)
-            bucket = seen.setdefault(refinement_hash(h, prof), [])
+            bucket = seen.setdefault(tuple(sorted(prof.values())), [])
             if not any(match_isomorphic(h, prof, rep, rep_prof) for rep, rep_prof in bucket):
                 bucket.append((h, prof))
 

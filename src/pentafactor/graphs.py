@@ -309,8 +309,9 @@ def connected_components(g: MultiGraph, removed_edges: frozenset[int] = frozense
     return comps
 
 
-def is_connected(g: MultiGraph, removed_edges: frozenset[int] = frozenset()) -> bool:
-    return len(connected_components(g, removed_edges)) <= 1
+def is_connected(g: MultiGraph) -> bool:
+    """Exactly one component; the graph with no vertex has none."""
+    return len(connected_components(g)) == 1
 
 
 _PROFILE_DEPTH = 3
@@ -319,8 +320,8 @@ _PROFILE_DEPTH = 3
 def vertex_profiles(g: MultiGraph) -> dict[int, tuple]:
     """Isomorphism-invariant per-vertex profile: incident edge multiplicities
     plus the histogram of BFS distances up to ``_PROFILE_DEPTH``.  Regular
-    graphs defeat plain refinement, so this is what seeds the hash and prunes
-    the matcher."""
+    graphs defeat plain refinement, so this is what prunes the matcher; the
+    sorted multiset of profiles is the cheap invariant compared before it."""
     out: dict[int, tuple] = {}
     for v in g.vertices:
         mults = tuple(sorted(len(g.edges_between(v, w)) for w in set(g.neighbors(v))))
@@ -339,27 +340,6 @@ def vertex_profiles(g: MultiGraph) -> dict[int, tuple]:
                     queue.append(w)
         out[v] = (mults, tuple(sorted(hist.items())))
     return out
-
-
-def refinement_hash(g: MultiGraph, profiles: dict[int, tuple]) -> tuple:
-    """Cheap isomorphism invariant: a few rounds of colour refinement seeded
-    with ``profiles``.  Equal hashes do not imply isomorphism; see
-    ``match_isomorphic``."""
-    ranks = {p: i for i, p in enumerate(sorted(set(profiles.values())))}
-    colors = {v: ranks[profiles[v]] for v in g.vertices}
-    for _ in range(3):
-        sig = {
-            v: (colors[v], tuple(sorted(colors[g.other_end(e, v)] for e in g.incident(v))))
-            for v in g.vertices
-        }
-        rk = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: rk[sig[v]] for v in g.vertices}
-        if new == colors:
-            break
-        colors = new
-    return (g.n, tuple(sorted(colors.values())),
-            tuple(sorted(tuple(sorted((colors[u], colors[v]))) for u, v
-                         in (g.endpoints(e) for e in g.edge_ids))))
 
 
 def match_isomorphic(g1: MultiGraph, prof1: dict[int, tuple],
@@ -423,7 +403,7 @@ def is_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
     if g1.n != g2.n or g1.m != g2.m:
         return False
     p1, p2 = vertex_profiles(g1), vertex_profiles(g2)
-    return (refinement_hash(g1, p1) == refinement_hash(g2, p2)
+    return (sorted(p1.values()) == sorted(p2.values())
             and match_isomorphic(g1, p1, g2, p2))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .errors import CapExceeded, NoPerfectMatching
+from .errors import NoPerfectMatching
 from .graphs import MultiGraph
 
 WeightVector = Mapping[int, int]
@@ -69,26 +69,14 @@ def min_weight_perfect_matching(
     return ids, total
 
 
-def enumerate_perfect_matchings(
-    g: MultiGraph, cap: int | None = None
-) -> list[frozenset[int]]:
+def enumerate_perfect_matchings(g: MultiGraph) -> list[frozenset[int]]:
     """All perfect matchings by exhaustive backtracking, deterministic order.
 
     Independent of the weighted solver; doubles as its oracle in tests.
     """
-    out: list[frozenset[int]] = []
-    for m in _matchings_iter(g):
-        out.append(m)
-        if cap is not None and len(out) > cap:
-            raise CapExceeded(f"more than {cap} perfect matchings")
-    out.sort(key=lambda m: tuple(sorted(m)))
-    return out
-
-
-def _matchings_iter(g: MultiGraph) -> Iterator[frozenset[int]]:
     verts = list(g.vertices)
     if len(verts) % 2:
-        return
+        return []
     covered: set[int] = set()
     chosen: list[int] = []
 
@@ -109,7 +97,7 @@ def _matchings_iter(g: MultiGraph) -> Iterator[frozenset[int]]:
             covered.discard(v)
             covered.discard(w)
 
-    yield from rec()
+    return sorted(rec(), key=lambda m: tuple(sorted(m)))
 
 
 def fractional_objective_value(g: MultiGraph, weights: WeightVector) -> Fraction:

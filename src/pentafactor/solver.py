@@ -5,9 +5,10 @@ route Petersen and colourable inputs directly, reduce the rest, classify
 P1/P2/P3, weight the perfect-matching polytope, solve one exact matching, and
 lift the complementary 2-factor back.  What tells one theorem from another
 (bound, counted statistic, census mode, weights, verifier coefficients, and
-whether the bound is read off the reduced or the lifted factor) is one row of
+whether the bound is proved on the reduced graph) is one row of
 ``_THEOREMS``; ``_solve`` and the verifier read nothing else that differs.
-Both take the census with ``patterns.take_census``.
+``achieved`` always counts the returned factor on the input graph.  Both take
+the census with ``patterns.take_census``.
 
 All bound arithmetic is exact (Fraction); floors are applied only at
 certificate boundaries.
@@ -164,7 +165,9 @@ class _Theorem:
     # Solver: the named reduced-factor statistic is at most matching weight / 4
     # + sum(coefficient * census count).
     accounting: tuple[str, tuple]
-    on_reduced: bool  # achieved is read off the reduced factor, not the lifted one
+    # Bound proved on the reduced graph: sets invariant_I, and makes the
+    # reduced-to-Petersen route exceptional with achieved_reduced.
+    on_reduced: bool
     triangle_free: bool  # the certified factor has no triangle
 
 
@@ -398,8 +401,7 @@ def _solve(g: CubicGraph, row: _Theorem) -> tuple[TwoFactor, Certificate]:
             if row.on_reduced:
                 fields["invariant_I"] = rfactor.invariant_I
     cert = Certificate(
-        row.theorem, graph_id(g), g.n, row.bound(g.n, reduced.n),
-        metric(rfactor if row.on_reduced else factor),
+        row.theorem, graph_id(g), g.n, row.bound(g.n, reduced.n), metric(factor),
         flags=frozenset(flags), **fields,
     )
     _check_claims(row, factor, rfactor, cert)
@@ -440,8 +442,10 @@ def solve_5cyc(g: CubicGraph) -> tuple[TwoFactor, Certificate]:
 
 
 def solve_oddness(g: CubicGraph) -> tuple[TwoFactor, Certificate]:
-    """A 2-factor with few odd circuits; the bound 6n/35 is certified on the
-    reduced graph and the lifted factor is returned with its own statistics.
+    """A 2-factor of g with at most 6n'/35 odd circuits, n' the reduced
+    graph's vertex count.  ``achieved`` counts the returned factor: every lift
+    step keeps the odd count (``lift_two_factor`` checks it).  An input that
+    reduces to Petersen is exceptional.
     """
     return _solve(g, _THEOREMS[THEOREM_ODD])
 
@@ -451,7 +455,7 @@ def nontrivial_certificate(g: CubicGraph) -> tuple[TwoFactor, Certificate] | Non
     or None when the preconditions do not hold.  A connected bridgeless cubic
     graph is cyclically 4-edge-connected iff it has no 2-cut and no
     non-trivial 3-cut."""
-    if is_petersen(g) or girth(g) != 5 or not is_connected(g) or bridges(g):
+    if not is_connected(g) or is_petersen(g) or girth(g) != 5 or bridges(g):
         return None
     if small_cuts(g, 3):
         return None
@@ -483,48 +487,41 @@ def verify_certificate(g: CubicGraph, factor: TwoFactor, cert: Certificate) -> V
     row = _THEOREMS.get(cert.theorem)
     if row is None:
         return Verdict(False, (*failures, f"unknown theorem tag {cert.theorem}"))
-    metric = attrgetter(row.metric)
 
     if row.triangle_free:
         check(rebuilt.count3 == 0, "factor contains a triangle")
     reduced_n = g.n if cert.reduced_n is None else cert.reduced_n
     check(cert.bound_value == row.bound(g.n, reduced_n), "bound value mismatch")
     check(cert.within_bound, "achieved exceeds floor(bound)")
+    check(cert.achieved == getattr(rebuilt, row.metric), f"achieved != factor {row.metric}")
     if row.metric == "odd_count":
         check(cert.achieved % 2 == 0, "oddness must be even")
+        # Every lift step keeps the odd count.
+        if cert.achieved_reduced is not None:
+            check(cert.achieved == cert.achieved_reduced, "achieved != achieved_reduced")
     if cert.matching_weight is not None and cert.fractional_bound is not None:
         check(cert.matching_weight <= cert.fractional_bound,
               "matching weight exceeds fractional bound")
 
-    rfactor = None
     if cert.reduced_graph is not None and cert.reduced_factor is not None:
-        rfactor, bundle_failures = _verify_reduced_bundle(cert, row)
-        failures.extend(bundle_failures)
+        failures.extend(_verify_reduced_bundle(cert, row))
     elif cert.invariant_I is not None:
         check(cert.invariant_I == rebuilt.invariant_I, "invariant_I mismatch with factor")
-    if row.on_reduced and rfactor is not None:
-        check(cert.achieved == metric(rfactor), f"achieved != reduced factor {row.metric}")
-    elif row.on_reduced and cert.achieved_reduced is not None:
-        check(cert.achieved == cert.achieved_reduced, "achieved != achieved_reduced")
-    elif not row.on_reduced or cert.reduced_n is None:
-        check(cert.achieved == metric(rebuilt), f"achieved != factor {row.metric}")
     return Verdict(not failures, tuple(failures))
 
 
-def _verify_reduced_bundle(
-    cert: Certificate, row: _Theorem
-) -> tuple[TwoFactor | None, list[str]]:
-    """The bundle's reduced factor (None if it does not parse) and the
-    failures found on it: its statistics, the census, the vertex-count
-    inequality and the fractional bound, all recomputed."""
+def _verify_reduced_bundle(cert: Certificate, row: _Theorem) -> list[str]:
+    """The failures found on the bundle's reduced factor: its statistics, the
+    census, the vertex-count inequality and the fractional bound, all
+    recomputed."""
     try:
         reduced = parse_graph(cert.reduced_graph)
     except Exception as exc:
-        return None, [f"reduced graph unparseable: {exc}"]
+        return [f"reduced graph unparseable: {exc}"]
     try:
         rfactor = two_factor_from_edges(reduced, frozenset(cert.reduced_factor))
     except Exception as exc:
-        return None, [f"reduced factor invalid: {exc}"]
+        return [f"reduced factor invalid: {exc}"]
     failures: list[str] = []
     if cert.reduced_n is not None and reduced.n != cert.reduced_n:
         failures.append("reduced n mismatch")
@@ -534,7 +531,7 @@ def _verify_reduced_bundle(
     if cert.invariant_I is not None and rfactor.invariant_I != cert.invariant_I:
         failures.append("invariant_I mismatch with reduced factor")
     if cert.census is None:
-        return rfactor, failures
+        return failures
     counts = take_census(reduced, row.mode).counts
     if counts != cert.census:
         failures.append(f"census mismatch: recomputed {counts}, certified {cert.census}")
@@ -543,4 +540,4 @@ def _verify_reduced_bundle(
     if (cert.fractional_bound is not None
             and cert.fractional_bound != _fractional_bound(row.weights, counts)):
         failures.append("fractional bound does not match census")
-    return rfactor, failures
+    return failures

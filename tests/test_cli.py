@@ -153,6 +153,15 @@ def test_operational_error_exit(capsys, tmp_path):
     assert main(["solve5", str(missing)]) == 1
 
 
+def test_solve_graph_without_vertices(capsys, tmp_path):
+    # graph6 "?" is the graph with no vertex: not connected, so not
+    # 2-edge-connected.
+    empty = tmp_path / "empty.g6"
+    empty.write_text("?\n")
+    assert main(["solve5", str(empty)]) == 1
+    assert "HasBridge" in capsys.readouterr().err
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
 

@@ -6,8 +6,10 @@ import pytest
 
 from pentafactor.coloring import UNCOLORABLE, even_two_factor_from_coloring, three_edge_color
 from pentafactor.errors import ImproperColoring
+from pentafactor.factors import complement_two_factor
 from pentafactor.families import cubic_multigraph_levels, gen_chain_family, gen_petersen
 from pentafactor.graphs import CubicGraph, is_connected
+from pentafactor.matching import enumerate_perfect_matchings
 
 
 def oracle_colorable(g) -> bool:
@@ -75,6 +77,19 @@ def test_verdicts_match_oracle_on_census():
     for n in (4, 6, 8, 10, 12):
         for g in (g for g in levels[n] if g.is_simple() and is_connected(g)):
             assert (three_edge_color(g) is not UNCOLORABLE) == oracle_colorable(g), n
+
+
+def test_verdicts_match_even_factors_on_multigraphs():
+    # Every loopless cubic multigraph on at most 8 vertices, disconnected and
+    # bridged ones included: g is 3-edge-colourable iff some perfect
+    # matching's complement has only even circuits.
+    for n, graphs in cubic_multigraph_levels(8).items():
+        for g in graphs:
+            col = three_edge_color(g)
+            even = any(complement_two_factor(g, m).odd_count == 0
+                       for m in enumerate_perfect_matchings(g))
+            assert (col is not UNCOLORABLE) == even, (n, g.edge_items())
+            assert col is UNCOLORABLE or col.is_proper_on(g)
 
 
 def test_even_two_factor(k4, k33, cube):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pentafactor.errors import CapExceeded, NoPerfectMatching
+from pentafactor.errors import NoPerfectMatching
 from pentafactor.factors import complement_two_factor
 from pentafactor.families import gen_petersen
 from pentafactor.graphs import CubicGraph, MultiGraph
@@ -48,11 +48,6 @@ def test_matching_counts(petersen, k4, k33):
     assert len(enumerate_perfect_matchings(k33)) == 6
     for g in (petersen, k4, k33):
         assert set(enumerate_perfect_matchings(g)) == set(brute_matchings(g))
-
-
-def test_enumeration_cap(petersen):
-    with pytest.raises(CapExceeded):
-        enumerate_perfect_matchings(petersen, cap=3)
 
 
 def test_uniform_weights(petersen, k4):

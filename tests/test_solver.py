@@ -43,6 +43,7 @@ from tests.hosts import (
     exceptional_22_host,
     p2_ring,
     relabeled,
+    triangle_fixture,
     two_cut_fixture,
     two_cycle_fixture,
 )
@@ -315,10 +316,11 @@ def test_solve5_rejects_bridged():
 @pytest.mark.parametrize("solve", [solve_5cyc, solve_oddness])
 def test_solvers_reject_disconnected(solve):
     # Each Petersen copy is bridgeless, but the whole graph is not
-    # 2-edge-connected.
-    g = CubicGraph([*PETERSEN_EDGES, *((u + 10, v + 10) for u, v in PETERSEN_EDGES)])
-    with pytest.raises(HasBridge, match="2-edge-connected"):
-        solve(g)
+    # 2-edge-connected.  Neither is the graph with no vertex (graph6 "?").
+    two = CubicGraph([*PETERSEN_EDGES, *((u + 10, v + 10) for u, v in PETERSEN_EDGES)])
+    for g in (two, parse_graph("?")):
+        with pytest.raises(HasBridge, match="2-edge-connected"):
+            solve(g)
 
 
 def test_solve_oddness_chain():
@@ -377,6 +379,7 @@ TAMPER_HOSTS = {
     "p3ring:4": lambda: gen_p3_ring(4),
     "host22": exceptional_22_host,
     "k33": lambda: CubicGraph([(a, b) for a in range(3) for b in range(3, 6)]),
+    "triangle": triangle_fixture,  # reduces to Petersen
 }
 TAMPER_SOLVERS = {"five": solve_5cyc, "odd": solve_oddness}
 
@@ -405,7 +408,9 @@ TAMPER_CASES = [
     for theorem in TAMPER_SOLVERS
     for field in ("bound_value", "n", "census", "fractional_bound", "reduced_n",
                   "achieved_reduced")
-] + [(host, "odd", "invariant_I", 2) for host in ("p3ring:4", "k33")]
+] + [(host, "odd", "invariant_I", 2) for host in ("p3ring:4", "k33")] + [
+    ("triangle", "odd", "achieved_reduced", 2),
+]
 
 
 @pytest.mark.parametrize(
@@ -419,6 +424,30 @@ def test_verify_flags_tampering(host, theorem, field, delta):
     assert not verdict.ok
     if field == "achieved":
         assert any("achieved" in msg for msg in verdict.failures)
+
+
+def test_verify_rejects_a_forged_bundle():
+    # chain:1's odd certificate with its bundle swapped for the colourable
+    # prism C16 x K2 (also n = 32): the prism's even factor, achieved 0, and
+    # the census, fractional bound and invariant_I recomputed from the prism.
+    # The bundle is self-consistent, but achieved does not count the factor
+    # returned on chain:1.
+    g, f, cert = _solved("chain:1", "odd")
+    prism = CubicGraph([(i, (i + 1) % 16) for i in range(16)]
+                       + [(16 + i, 16 + (i + 1) % 16) for i in range(16)]
+                       + [(i, 16 + i) for i in range(16)])
+    even = two_factor_from_edges(prism, frozenset(range(32)))
+    bundle, fidx = solver._reduced_bundle(prism, even)
+    row = solver._THEOREMS[cert.theorem]
+    counts = take_census(prism, row.mode).counts
+    forged = replace(
+        cert, reduced_graph=bundle, reduced_factor=fidx, reduced_n=prism.n,
+        achieved=0, achieved_reduced=0, census=counts, matching_weight=0,
+        fractional_bound=solver._fractional_bound(row.weights, counts),
+        invariant_I=even.invariant_I,
+    )
+    assert (even.odd_count, f.odd_count) == (0, 4)
+    assert verify_certificate(g, f, forged).failures == ("achieved != factor odd_count",)
 
 
 def test_check_step_raises_typed_error(monkeypatch):
@@ -466,6 +495,7 @@ def test_nontrivial_certificate_needs_a_connected_host():
     dodeca = sorted(nx.dodecahedral_graph().edges())
     g = CubicGraph(dodeca + [(u + 20, v + 20) for u, v in dodeca])
     assert nontrivial_certificate(g) is None
+    assert nontrivial_certificate(parse_graph("?")) is None  # no vertex
 
 
 def test_exceptional_22_host_end_to_end():

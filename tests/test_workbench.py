@@ -8,7 +8,7 @@ import pytest
 
 from pentafactor.errors import CapExceeded
 from pentafactor.families import gen_chain_family, gen_p3_ring, gen_petersen
-from pentafactor.formats import serialize_graph
+from pentafactor.formats import parse_graph, serialize_graph
 from pentafactor.graphs import CubicGraph, PETERSEN_EDGES
 from pentafactor.workbench import (
     batch_run,
@@ -85,13 +85,14 @@ def test_batch_flags_skipped():
 
 
 def test_batch_skips_disconnected(petersen):
-    # Two Petersen copies: bridgeless but disconnected.  The row is skipped
-    # and the batch goes on to the next one.
+    # Two Petersen copies: bridgeless but disconnected.  The graph6 line "?"
+    # is the graph with no vertex, which has no component.  Both rows are
+    # skipped and the batch goes on to the next one.
     two = CubicGraph([*PETERSEN_EDGES, *((u + 10, v + 10) for u, v in PETERSEN_EDGES)])
-    report = batch_run([(0, two), (1, petersen)], modes=("both",))
+    report = batch_run([(0, two), (1, parse_graph("?")), (2, petersen)], modes=("both",))
     assert [(r.status, r.reason) for r in report.rows] == [
-        ("skipped", "disconnected"), ("ok", None)]
-    assert report.summary["skipped"] == 1 and not report.has_violation
+        ("skipped", "disconnected"), ("skipped", "disconnected"), ("ok", None)]
+    assert report.summary["skipped"] == 2 and not report.has_violation
 
 
 def test_batch_oracle_mode(petersen, k4):
